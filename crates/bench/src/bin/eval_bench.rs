@@ -6,13 +6,11 @@
 //! cargo run --release -p ppatc-bench --bin eval_bench -- --samples 100000 --jobs 8
 //! ```
 //!
-//! Four workloads are timed (median of 5 warm runs each):
+//! Three workloads are timed (median of 5 warm runs each):
 //!
 //! - the joint Monte-Carlo sweep at 10 000 samples, serial vs. parallel
 //!   worker counts up to `--jobs` (byte-identical results are asserted,
 //!   not assumed);
-//! - the same sweep under a supervisor (cancellation/deadline polling and
-//!   panic isolation active), measuring the supervision overhead;
 //! - a 512×512 tCDP-ratio raster, serial vs. `--jobs` workers;
 //! - the capacity sweep cold (every eDRAM macro characterized from
 //!   scratch) vs. warm (every characterization served from the memo
@@ -103,9 +101,7 @@ fn main() -> ExitCode {
     if let Some(d) = deadline {
         budget = budget.with_deadline_in(d);
     }
-    let mut supervisor = Supervisor::new()
-        .with_budget(budget.clone())
-        .resuming(resume);
+    let mut supervisor = Supervisor::new().with_budget(budget).resuming(resume);
     if let Some(path) = &checkpoint {
         supervisor = supervisor.with_checkpoint(path);
     }
@@ -116,25 +112,28 @@ fn main() -> ExitCode {
     // it is forced outside the timed region (first caller pays the OnceLock
     // init otherwise).
     ppatc_bench::matmul_run();
-    let (hits0, misses0) = ppatc_edram::characterization_cache_stats();
+    let (_, misses0) = ppatc_edram::characterization_cache_stats();
     let t = Instant::now();
-    let cold_sweep = ppatc_bench::capacity::sweep_jobs(1);
+    let sweep = || {
+        ppatc_bench::capacity::try_sweep(1, &Supervisor::new()).expect("capacity sweep completes")
+    };
+    let cold_sweep = sweep();
     let capacity_cold_ms = t.elapsed().as_secs_f64() * 1e3;
     let (hits1, misses1) = ppatc_edram::characterization_cache_stats();
     let capacity_warm_ms = median_ms(|| {
-        let warm = ppatc_bench::capacity::sweep_jobs(1);
+        let warm = sweep();
         assert_eq!(warm, cold_sweep, "cache must not change sweep results");
     });
     let (hits2, misses2) = ppatc_edram::characterization_cache_stats();
 
-    // --- Monte-Carlo sweep, serial vs. parallel (results asserted equal).
-    // The supervised pass runs first so a configured deadline or journal
-    // applies to a full-size sweep rather than an already-warm rerun.
+    // --- Monte-Carlo sweep, serial vs. parallel (results asserted equal to
+    // the pass under the configured supervisor). That pass runs first so a
+    // deadline or journal applies to a full-size sweep rather than an
+    // already-warm rerun.
     let map = ppatc_bench::case_study().tcdp_map(Lifetime::months(24.0));
     let ranges = UncertaintyRanges::paper_default();
     let config = MonteCarloConfig::new(samples, 2025).expect("sample count >= 1");
-    let reference = match montecarlo::try_run_supervised(&map, &ranges, &config, jobs, &supervisor)
-    {
+    let reference = match montecarlo::try_run(&map, &ranges, &config, jobs, &supervisor) {
         Ok(r) => r,
         Err(e @ PpatcError::Interrupted { .. }) => {
             eprintln!("{e}");
@@ -146,25 +145,10 @@ fn main() -> ExitCode {
             return ExitCode::from(EXIT_INTERRUPTED);
         }
         Err(e) => {
-            eprintln!("supervised sweep failed: {e}");
+            eprintln!("sweep failed: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let plain =
-        montecarlo::try_run_jobs(&map, &ranges, &config, 1).expect("serial sweep evaluates");
-    assert_eq!(
-        reference, plain,
-        "supervised sweep must match the unsupervised serial sweep"
-    );
-    // The batched structure-of-arrays engine must agree byte-for-byte with
-    // the scalar per-sample oracle before any of its timings are reported.
-    let scalar_oracle =
-        montecarlo::try_run_scalar(&map, &ranges, &config, 1).expect("scalar oracle evaluates");
-    assert_eq!(
-        plain, scalar_oracle,
-        "batched SoA sweep must be byte-identical to the scalar per-sample path"
-    );
-
     let mut workers = vec![1, 2, jobs];
     workers.sort_unstable();
     workers.dedup();
@@ -179,11 +163,6 @@ fn main() -> ExitCode {
             (j, ms)
         })
         .collect();
-    let supervised_ms = median_ms(|| {
-        let r = montecarlo::try_run_supervised(&map, &ranges, &config, jobs, &Supervisor::new())
-            .expect("supervised sweep evaluates");
-        assert_eq!(r, reference, "supervised rerun must be byte-identical");
-    });
 
     // --- Raster, serial vs. parallel.
     let raster_ref = map
@@ -220,8 +199,7 @@ fn main() -> ExitCode {
     "note": "on a 1-core host the parallel rows measure engine overhead only; the Monte-Carlo and raster stages scale with cores because every sample/point is a pure function of its index. Regenerate on the target host with the command above."
   }},
   "monte_carlo_{samples}_samples_ms": {{
-{mc_rows},
-    "jobs_{jobs}_supervised": {supervised_ms:.3}
+{mc_rows}
   }},
   "raster_512x512_ms": {{
 {raster_rows}
@@ -234,7 +212,7 @@ fn main() -> ExitCode {
     "characterizations_warm": {},
     "cache_hits_during_warm_runs": {}
   }},
-  "determinism": "asserted in-process: MonteCarloResult (supervised and not) and raster grid equal across worker counts, batched SoA sweep byte-identical to the scalar per-sample oracle, warm capacity sweep byte-identical to cold; also covered by tests/parallel_eval.rs and tests/fault_injection.rs"
+  "determinism": "asserted in-process: MonteCarloResult (configured supervisor and default) and raster grid equal across worker counts, warm capacity sweep byte-identical to cold; the batched SoA sweep is checked against an independent per-sample oracle in tests/parallel_eval.rs, and supervision in tests/fault_injection.rs"
 }}"#,
         capacity_cold_ms,
         capacity_warm_ms,
@@ -243,7 +221,6 @@ fn main() -> ExitCode {
         misses2 - misses1,
         hits2 - hits1,
     );
-    let _ = (hits0, budget);
     if let Err(e) = std::fs::write("BENCH_eval.json", format!("{json}\n")) {
         eprintln!("failed to write BENCH_eval.json: {e}");
         return ExitCode::FAILURE;

@@ -99,14 +99,12 @@ fn main() -> ExitCode {
         "fig6b" => ppatc_bench::fig6::render_uncertainty(),
         "ablations" => ppatc_bench::ablation::render(),
         "workloads" => ppatc_bench::extras::render_workloads(),
-        "montecarlo" => {
-            match ppatc_bench::extras::try_render_monte_carlo_supervised(jobs, &supervisor) {
-                Ok(out) => out,
-                Err(e) => return report_supervised_failure(&e, &checkpoint),
-            }
-        }
-        "capacity" => match ppatc_bench::capacity::try_render_supervised(jobs, &supervisor) {
+        "montecarlo" => match ppatc_bench::extras::try_render_monte_carlo(jobs, &supervisor) {
             Ok(out) => out,
+            Err(e) => return report_supervised_failure(&e, &checkpoint),
+        },
+        "capacity" => match ppatc_bench::capacity::try_sweep(jobs, &supervisor) {
+            Ok(points) => ppatc_bench::capacity::render_points(&points),
             Err(e) => return report_supervised_failure(&e, &checkpoint),
         },
         "all" => ppatc_bench::render_all_jobs(jobs),

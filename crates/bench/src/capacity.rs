@@ -9,6 +9,7 @@
 
 use crate::matmul_run;
 use ppatc::checkpoint::Checkpointable;
+use ppatc::eval::try_map_indexed;
 use ppatc::{
     CaseStudy, EmbodiedPipeline, JournalSpec, Lifetime, PpatcError, Supervisor, SystemDesign,
     Technology, UsagePattern,
@@ -66,25 +67,16 @@ const SWEEP_CLOCK_MHZ: f64 = 500.0;
 /// The fixed evaluation lifetime of the sweep, months.
 const SWEEP_LIFETIME_MONTHS: f64 = 24.0;
 
-/// Sweeps per-macro capacity (program and data memories both sized to it).
-pub fn sweep() -> Vec<CapacityPoint> {
-    sweep_jobs(1)
-}
-
-/// [`sweep`] with capacity points evaluated across `jobs` workers. The
-/// result is byte-identical for any worker count; each point's two eDRAM
-/// characterizations are served from [`ppatc_edram::EdramMacro`]'s memo
-/// cache after the first request for that `(technology, organization)`.
-pub fn sweep_jobs(jobs: usize) -> Vec<CapacityPoint> {
-    ppatc::eval::par_map_indexed(CAPACITIES_KB.len(), jobs, capacity_point)
-}
-
-/// [`sweep_jobs`] under a [`Supervisor`]: honors the supervisor's
-/// cancellation token and deadline, isolates worker panics, and — when a
-/// checkpoint path is configured — journals every finished point so an
-/// interrupted sweep resumes byte-identically (each point is a pure
-/// function of its capacity index, and the journal stores exact `f64` bit
-/// patterns).
+/// Sweeps per-macro capacity (program and data memories both sized to it)
+/// across `jobs` workers under `supervisor`.
+///
+/// The result is byte-identical for any worker count; each point's two
+/// eDRAM characterizations are served from [`ppatc_edram::EdramMacro`]'s
+/// memo cache after the first request for that `(technology,
+/// organization)`. When a checkpoint path is configured, every finished
+/// point is journaled so an interrupted sweep resumes byte-identically
+/// (each point is a pure function of its capacity index, and the journal
+/// stores exact `f64` bit patterns).
 ///
 /// # Errors
 ///
@@ -93,10 +85,7 @@ pub fn sweep_jobs(jobs: usize) -> Vec<CapacityPoint> {
 /// [`PpatcError::Checkpoint`] on journal I/O failure or a journal recorded
 /// for a different sweep.
 #[must_use = "this returns a Result that must be handled"]
-pub fn try_sweep_supervised(
-    jobs: usize,
-    supervisor: &Supervisor,
-) -> Result<Vec<CapacityPoint>, PpatcError> {
+pub fn try_sweep(jobs: usize, supervisor: &Supervisor) -> Result<Vec<CapacityPoint>, PpatcError> {
     let spec = JournalSpec::for_run::<CapacityPoint>(
         "capacity",
         CAPACITIES_KB.len(),
@@ -108,14 +97,14 @@ pub fn try_sweep_supervised(
         ],
     );
     let journal = supervisor.try_open_journal(&spec)?;
-    let outcomes = ppatc::eval::try_par_map_journaled(
+    try_map_indexed(
         CAPACITIES_KB.len(),
         jobs,
         supervisor.budget(),
-        journal.as_ref(),
+        journal.as_deref(),
         capacity_point,
-    )?;
-    outcomes.into_iter().collect()
+    )?
+    .try_into_values()
 }
 
 /// Evaluates the `k`-th capacity point — a pure function of `k` (the
@@ -157,30 +146,22 @@ fn capacity_point(k: usize) -> CapacityPoint {
     }
 }
 
-/// Renders the sweep.
-pub fn render() -> String {
-    render_jobs(1)
-}
-
-/// [`render`] with the sweep evaluated across `jobs` workers (identical
-/// output for any worker count).
+/// Renders the sweep evaluated across `jobs` workers (identical output
+/// for any worker count).
+///
+/// # Panics
+///
+/// Panics if the sweep fails, which an unlimited, journal-free run cannot
+/// do short of a model bug.
 pub fn render_jobs(jobs: usize) -> String {
-    format_points(&sweep_jobs(jobs))
-}
-
-/// [`render_jobs`] under a [`Supervisor`]; identical output to
-/// [`render_jobs`] when the run completes.
-///
-/// # Errors
-///
-/// Propagates every [`try_sweep_supervised`] error.
-#[must_use = "this returns a Result that must be handled"]
-pub fn try_render_supervised(jobs: usize, supervisor: &Supervisor) -> Result<String, PpatcError> {
-    Ok(format_points(&try_sweep_supervised(jobs, supervisor)?))
+    match try_sweep(jobs, &Supervisor::new()) {
+        Ok(points) => render_points(&points),
+        Err(e) => panic!("capacity sweep failed: {e}"),
+    }
 }
 
 /// Formats swept points as the exhibit table.
-fn format_points(points: &[CapacityPoint]) -> String {
+pub fn render_points(points: &[CapacityPoint]) -> String {
     let mut out = String::from(
         "kB/macro   area Si (mm²)   area M3D   emb Si (g)   emb M3D   M3D benefit @24mo\n",
     );
@@ -204,6 +185,10 @@ fn format_points(points: &[CapacityPoint]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn sweep() -> Vec<CapacityPoint> {
+        try_sweep(1, &Supervisor::new()).expect("the capacity sweep completes")
+    }
 
     #[test]
     fn areas_scale_with_capacity() {
@@ -238,23 +223,12 @@ mod tests {
 
     #[test]
     fn parallel_sweep_is_identical_to_serial() {
-        let serial = sweep_jobs(1);
+        let serial = sweep();
         for jobs in [2, 8] {
-            assert_eq!(serial, sweep_jobs(jobs), "jobs = {jobs}");
+            let parallel = try_sweep(jobs, &Supervisor::new()).expect("parallel sweep completes");
+            assert_eq!(serial, parallel, "jobs = {jobs}");
         }
         assert_eq!(render_jobs(1), render_jobs(4));
-    }
-
-    #[test]
-    fn supervised_sweep_matches_unsupervised() {
-        let plain = sweep_jobs(2);
-        let supervised =
-            try_sweep_supervised(2, &Supervisor::new()).expect("default supervisor completes");
-        assert_eq!(plain, supervised);
-        assert_eq!(
-            render_jobs(1),
-            try_render_supervised(1, &Supervisor::new()).expect("render completes")
-        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! uncertainty summary and the workload-suite characterization table.
 
 use crate::case_study;
-use ppatc::montecarlo::{self, MonteCarloConfig, MonteCarloResult, UncertaintyRanges};
+use ppatc::montecarlo::{self, MonteCarloConfig, UncertaintyRanges};
 use ppatc::{Lifetime, PpatcError, Supervisor};
 use ppatc_workloads::Workload;
 
@@ -15,63 +15,45 @@ const MC_EXHIBIT_SAMPLES: usize = 20_000;
 /// Sample count of the per-source sensitivity ranking.
 const MC_SENSITIVITY_SAMPLES: usize = 10_000;
 
-/// Joint Monte-Carlo run over all Fig. 6b uncertainty sources at the
-/// nominal design point (deterministic seed).
-pub fn monte_carlo(samples: usize) -> MonteCarloResult {
-    monte_carlo_jobs(samples, 1)
-}
-
-/// [`monte_carlo`] sharded across `jobs` workers; byte-identical to the
-/// serial run for any worker count.
-pub fn monte_carlo_jobs(samples: usize, jobs: usize) -> MonteCarloResult {
-    let map = case_study().tcdp_map(Lifetime::months(24.0));
-    let config = MonteCarloConfig::new(samples, MC_SEED).expect("sample count >= 1");
-    montecarlo::try_run_jobs(&map, &UncertaintyRanges::paper_default(), &config, jobs)
-        .expect("paper-default sweep evaluates")
-}
-
-/// Renders the Monte-Carlo summary with the per-source sensitivity ranking.
-pub fn render_monte_carlo() -> String {
-    render_monte_carlo_jobs(1)
-}
-
-/// [`render_monte_carlo`] with sampling and sensitivity sharded across
-/// `jobs` workers (identical output for any worker count).
+/// Renders the joint Monte-Carlo summary with the per-source sensitivity
+/// ranking, sampling and sensitivity sharded across `jobs` workers
+/// (identical output for any worker count).
+///
+/// # Panics
+///
+/// Panics if the exhibit fails, which an unlimited, journal-free run of the
+/// paper-default sweep cannot do short of a model bug.
 pub fn render_monte_carlo_jobs(jobs: usize) -> String {
-    match try_render_monte_carlo_supervised(jobs, &Supervisor::new()) {
+    match try_render_monte_carlo(jobs, &Supervisor::new()) {
         Ok(out) => out,
-        // An unlimited, journal-free supervisor cannot be interrupted and
-        // the paper-default sweep evaluates; surface anything else loudly.
         Err(e) => panic!("paper-default Monte-Carlo exhibit failed: {e}"),
     }
 }
 
-/// [`render_monte_carlo_jobs`] under a [`Supervisor`]: the 20 000-sample
-/// headline sweep honors cancellation/deadline and — when a checkpoint
-/// path is configured — journals finished chunks for byte-identical
-/// resume. The sensitivity ranking that follows is budget-bounded but not
-/// checkpointed (it is an order of magnitude cheaper than the sweep and
-/// re-deriving it keeps the journal single-run).
+/// The Monte-Carlo exhibit under a [`Supervisor`]: the 20 000-sample joint
+/// run over all Fig. 6b uncertainty sources at the nominal design point
+/// (deterministic seed) honors cancellation/deadline and — when a
+/// checkpoint path is configured — journals finished chunks for
+/// byte-identical resume. The sensitivity ranking that follows is
+/// budget-bounded but not checkpointed (it is an order of magnitude cheaper
+/// than the sweep and re-deriving it keeps the journal single-run).
 ///
 /// # Errors
 ///
-/// Propagates every [`montecarlo::try_run_supervised`] and
-/// [`montecarlo::try_sensitivity_supervised`] error.
+/// Propagates every [`montecarlo::try_run`] and
+/// [`montecarlo::try_sensitivity`] error.
 #[must_use = "this returns a Result that must be handled"]
-pub fn try_render_monte_carlo_supervised(
-    jobs: usize,
-    supervisor: &Supervisor,
-) -> Result<String, PpatcError> {
+pub fn try_render_monte_carlo(jobs: usize, supervisor: &Supervisor) -> Result<String, PpatcError> {
     let map = case_study().tcdp_map(Lifetime::months(24.0));
-    let config = MonteCarloConfig::new(MC_EXHIBIT_SAMPLES, MC_SEED).expect("sample count >= 1");
-    let r = montecarlo::try_run_supervised(
+    let config = MonteCarloConfig::new(MC_EXHIBIT_SAMPLES, MC_SEED)?;
+    let r = montecarlo::try_run(
         &map,
         &UncertaintyRanges::paper_default(),
         &config,
         jobs,
         supervisor,
     )?;
-    let shares = montecarlo::try_sensitivity_supervised(
+    let shares = montecarlo::try_sensitivity(
         &map,
         &UncertaintyRanges::paper_default(),
         MC_SENSITIVITY_SAMPLES,
@@ -143,19 +125,28 @@ pub fn render_workloads() -> String {
 mod tests {
     use super::*;
 
+    use ppatc::montecarlo::MonteCarloResult;
+
+    fn monte_carlo(samples: usize, jobs: usize) -> MonteCarloResult {
+        let map = case_study().tcdp_map(Lifetime::months(24.0));
+        let config = MonteCarloConfig::new(samples, MC_SEED).expect("sample count >= 1");
+        montecarlo::try_run_jobs(&map, &UncertaintyRanges::paper_default(), &config, jobs)
+            .expect("paper-default sweep evaluates")
+    }
+
     #[test]
     fn monte_carlo_is_reproducible_and_contested() {
-        let a = monte_carlo(4000);
-        let b = monte_carlo(4000);
+        let a = monte_carlo(4000, 1);
+        let b = monte_carlo(4000, 1);
         assert_eq!(a, b);
         assert!((0.05..0.95).contains(&a.p_m3d_wins), "P = {}", a.p_m3d_wins);
     }
 
     #[test]
     fn parallel_monte_carlo_matches_serial() {
-        let serial = monte_carlo_jobs(4000, 1);
+        let serial = monte_carlo(4000, 1);
         for jobs in [2, 8] {
-            assert_eq!(serial, monte_carlo_jobs(4000, jobs), "jobs = {jobs}");
+            assert_eq!(serial, monte_carlo(4000, jobs), "jobs = {jobs}");
         }
     }
 
@@ -165,8 +156,7 @@ mod tests {
         token.cancel();
         let supervisor =
             Supervisor::new().with_budget(ppatc::RunBudget::unlimited().with_cancel(&token));
-        let e = try_render_monte_carlo_supervised(1, &supervisor)
-            .expect_err("pre-cancelled exhibit stops");
+        let e = try_render_monte_carlo(1, &supervisor).expect_err("pre-cancelled exhibit stops");
         assert!(matches!(e, PpatcError::Interrupted { .. }));
     }
 

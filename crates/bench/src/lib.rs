@@ -53,14 +53,9 @@ pub fn case_study() -> &'static CaseStudy {
     STUDY.get_or_init(|| CaseStudy::paper(matmul_run()).expect("case study must build"))
 }
 
-/// Renders every exhibit in paper order.
-pub fn render_all() -> String {
-    render_all_jobs(1)
-}
-
-/// [`render_all`] with the evaluation-heavy exhibits (Monte Carlo,
-/// capacity sweep) sharded across `jobs` workers; identical output for any
-/// worker count.
+/// Renders every exhibit in paper order, with the evaluation-heavy exhibits
+/// (Monte Carlo, capacity sweep) sharded across `jobs` workers; identical
+/// output for any worker count.
 pub fn render_all_jobs(jobs: usize) -> String {
     let mut out = String::new();
     for (name, body) in [
@@ -87,7 +82,7 @@ pub fn render_all_jobs(jobs: usize) -> String {
 mod tests {
     #[test]
     fn all_exhibits_render() {
-        let text = super::render_all();
+        let text = super::render_all_jobs(1);
         for marker in [
             "Table I", "Fig. 2c", "Fig. 4", "Table II", "Fig. 5", "Fig. 6",
         ] {

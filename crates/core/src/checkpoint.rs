@@ -1,7 +1,7 @@
 //! Crash-safe, line-oriented checkpoint journals for supervised runs.
 //!
 //! A [`Journal`] records completed work items of one supervised parallel
-//! run (see [`crate::eval::try_par_map_journaled`]) as plain text lines:
+//! run (see [`crate::eval::try_map_indexed`]) as plain text lines:
 //! a header identifying the run, then one line per completed chunk. Each
 //! item's value is serialized as fixed-width hexadecimal `u64` words, so
 //! the format is append-only, human-inspectable, and torn-write safe — a
@@ -21,6 +21,7 @@
 //! against resuming with a different configuration.
 
 use crate::error::PpatcError;
+use crate::eval::Sink;
 use ppatc_units::rng::SplitMix64;
 use std::collections::HashMap;
 use std::fs::File;
@@ -167,7 +168,7 @@ fn journal_error(path: &Path, action: &str, e: &std::io::Error) -> PpatcError {
 ///
 /// Create with [`Journal::try_create`] (fresh run) or
 /// [`Journal::try_resume`] (reload completed items, then keep appending),
-/// then pass to [`crate::eval::try_par_map_journaled`]. Appends are
+/// then pass to [`crate::eval::try_map_indexed`] as its [`Sink`]. Appends are
 /// line-buffered and flushed per chunk, so a crash loses at most the
 /// in-flight line.
 pub struct Journal {
@@ -290,58 +291,69 @@ impl Journal {
         })
     }
 
-    /// The journal's file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The spec this journal was opened with.
-    pub fn spec(&self) -> &JournalSpec {
-        &self.spec
-    }
-
     /// Number of distinct items reloaded from disk by
     /// [`Journal::try_resume`] (zero for a fresh journal).
     pub fn completed_items(&self) -> usize {
         self.preloaded.len()
     }
+}
 
-    /// The reloaded value of item `index`, if present: `Ok` with the
-    /// decoded value, or `Err(WorkerPanic)` for an item journaled as a
-    /// deterministic panic. `None` (recompute) if absent or undecodable.
-    pub(crate) fn preloaded_item<T: Checkpointable>(
-        &self,
-        index: usize,
-    ) -> Option<Result<T, PpatcError>> {
-        let words = self.preloaded.get(&index)?;
-        let (tag, payload) = words.split_first()?;
-        if *tag == TAG_PANICKED {
-            return Some(Err(PpatcError::WorkerPanic { index }));
-        }
-        T::decode(payload).map(Ok)
+impl<T: Checkpointable> Sink<T> for Journal {
+    /// Rejects a run whose item count or item width differs from the
+    /// journal's spec.
+    fn check_run(&self, n: usize) -> Result<(), PpatcError> {
+        let mismatch = if self.spec.item_width != T::WIDTH {
+            format!(
+                "stores items of width {}, but the run produces width {}",
+                self.spec.item_width,
+                T::WIDTH
+            )
+        } else if self.spec.items != n {
+            format!("spans {} items, but the run has {n}", self.spec.items)
+        } else {
+            return Ok(());
+        };
+        Err(PpatcError::Checkpoint {
+            detail: format!("journal {} {mismatch}", self.path.display()),
+        })
     }
 
-    /// Appends one completed chunk (items `start..start + run.len()`) as a
-    /// single flushed line.
-    pub(crate) fn append_chunk<T: Checkpointable>(
+    /// The reloaded outcome of item `i`; `None` (recompute) if absent or
+    /// undecodable.
+    fn replay(&self, i: usize) -> Option<Option<T>> {
+        let words = self.preloaded.get(&i)?;
+        let (tag, payload) = words.split_first()?;
+        if *tag == TAG_PANICKED {
+            return Some(None);
+        }
+        T::decode(payload).map(Some)
+    }
+
+    /// Appends the chunk as a single flushed line.
+    fn append(
         &self,
         start: usize,
-        run: &[Result<T, PpatcError>],
+        end: usize,
+        values: &[T],
+        panicked: &[usize],
     ) -> Result<(), PpatcError> {
         use std::fmt::Write as _;
-        let mut line = format!("c {start} {}", run.len());
+        let mut line = format!("c {start} {}", end - start);
         let mut words: Vec<u64> = Vec::with_capacity(T::WIDTH);
-        for item in run {
+        let mut values = values.iter();
+        let mut panicked = panicked.iter().peekable();
+        for i in start..end {
             words.clear();
-            let tag = match item {
-                Ok(v) => {
-                    v.encode(&mut words);
-                    TAG_OK
-                }
-                Err(_) => {
-                    words.resize(T::WIDTH, 0);
-                    TAG_PANICKED
-                }
+            let tag = if panicked.next_if_eq(&&i).is_some() {
+                words.resize(T::WIDTH, 0);
+                TAG_PANICKED
+            } else if let Some(v) = values.next() {
+                v.encode(&mut words);
+                TAG_OK
+            } else {
+                return Err(PpatcError::Checkpoint {
+                    detail: format!("chunk {start}..{end} is missing the value of item {i}"),
+                });
             };
             debug_assert_eq!(
                 words.len(),
@@ -363,23 +375,6 @@ impl Journal {
             .write_all(line.as_bytes())
             .and_then(|()| writer.flush())
             .map_err(|e| journal_error(&self.path, "append to", &e))
-    }
-
-    /// Guards against using a journal with an item type of a different
-    /// width than it was opened for.
-    pub(crate) fn require_width<T: Checkpointable>(&self) -> Result<(), PpatcError> {
-        if self.spec.item_width == T::WIDTH {
-            Ok(())
-        } else {
-            Err(PpatcError::Checkpoint {
-                detail: format!(
-                    "journal {} stores items of width {}, but the run produces width {}",
-                    self.path.display(),
-                    self.spec.item_width,
-                    T::WIDTH
-                ),
-            })
-        }
     }
 }
 
@@ -476,27 +471,26 @@ mod tests {
         let spec = JournalSpec::for_run::<f64>("test", 10, &[42]);
         {
             let j = Journal::try_create(&path, &spec).expect("create");
-            j.append_chunk::<f64>(0, &[Ok(1.5), Ok(f64::NAN)])
-                .expect("append");
-            j.append_chunk::<f64>(5, &[Ok(-0.0), Err(PpatcError::WorkerPanic { index: 6 })])
-                .expect("append");
+            Sink::<f64>::append(&j, 0, 2, &[1.5, f64::NAN], &[]).expect("append");
+            Sink::<f64>::append(&j, 5, 7, &[-0.0], &[6]).expect("append");
         }
         let j = Journal::try_resume(&path, &spec).expect("resume");
         assert_eq!(j.completed_items(), 4);
-        assert_eq!(j.preloaded_item::<f64>(0), Some(Ok(1.5)));
-        match j.preloaded_item::<f64>(1) {
-            Some(Ok(v)) => assert!(v.is_nan()),
+        assert_eq!(Sink::<f64>::replay(&j, 0), Some(Some(1.5)));
+        match Sink::<f64>::replay(&j, 1) {
+            Some(Some(v)) => assert!(v.is_nan()),
             other => panic!("expected NaN, got {other:?}"),
         }
         assert_eq!(
-            j.preloaded_item::<f64>(5).map(|r| r.map(f64::to_bits)),
-            Some(Ok((-0.0_f64).to_bits()))
+            Sink::<f64>::replay(&j, 5).map(|r| r.map(f64::to_bits)),
+            Some(Some((-0.0_f64).to_bits()))
         );
         assert_eq!(
-            j.preloaded_item::<f64>(6),
-            Some(Err(PpatcError::WorkerPanic { index: 6 }))
+            Sink::<f64>::replay(&j, 6),
+            Some(None),
+            "item 6 was journaled as a panic"
         );
-        assert_eq!(j.preloaded_item::<f64>(2), None);
+        assert_eq!(Sink::<f64>::replay(&j, 2), None);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -528,7 +522,7 @@ mod tests {
         let spec = JournalSpec::for_run::<f64>("test", 10, &[]);
         {
             let j = Journal::try_create(&path, &spec).expect("create");
-            j.append_chunk::<f64>(0, &[Ok(2.0)]).expect("append");
+            Sink::<f64>::append(&j, 0, 1, &[2.0], &[]).expect("append");
         }
         // Simulate a crash mid-append: a truncated chunk line.
         {
@@ -541,8 +535,8 @@ mod tests {
         }
         let j = Journal::try_resume(&path, &spec).expect("resume survives the tear");
         assert_eq!(j.completed_items(), 1);
-        assert_eq!(j.preloaded_item::<f64>(0), Some(Ok(2.0)));
-        assert_eq!(j.preloaded_item::<f64>(3), None);
+        assert_eq!(Sink::<f64>::replay(&j, 0), Some(Some(2.0)));
+        assert_eq!(Sink::<f64>::replay(&j, 3), None);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -589,7 +583,7 @@ mod tests {
         let spec = JournalSpec::for_run::<f64>("test", 4, &[]);
         {
             let j = Journal::try_create(&path, &spec).expect("create");
-            j.append_chunk::<f64>(0, &[Ok(2.0)]).expect("append");
+            Sink::<f64>::append(&j, 0, 1, &[2.0], &[]).expect("append");
         }
         // Splice in a complete chunk line from a longer run: same header
         // shape, indices past the end of this run's 4-item space.

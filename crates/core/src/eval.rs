@@ -1,43 +1,42 @@
-//! The parallel evaluation engine.
+//! The evaluation engine.
 //!
 //! Every headline exhibit — the Fig. 6b isoline uncertainty band, the joint
 //! Monte-Carlo summary, the capacity sweep, the design-space ranking —
-//! reduces to thousands of *independent* tCDP evaluations. This module
-//! shards such index spaces across `std::thread::scope` workers (the
-//! pattern proven by `ppatc-lint`'s per-file stage) while keeping the
-//! results **byte-identical to a serial run for any worker count**:
+//! reduces to thousands of *independent* tCDP evaluations over an index
+//! space. [`try_map_indexed`] is the one engine they all run on. It shards
+//! the index space across `std::thread::scope` workers (the pattern proven
+//! by `ppatc-lint`'s per-file stage) while keeping the results
+//! **byte-identical to a serial run for any worker count**:
 //!
 //! - each work item is a pure function of its index (Monte-Carlo samples
 //!   draw from counter-indexed [`SplitMix64::stream`]s, grid points from
 //!   their coordinates), so no draw-order coupling exists to begin with;
-//! - workers steal fixed-size *chunks* of the index range and return
-//!   `(start, results)` runs, which are merged back into index order before
-//!   any reduction — so sorts, sums, and quantiles see exactly the serial
-//!   operand order.
-//!
-//! The engine is dependency-free: work stealing is one `AtomicUsize`, the
-//! merge is a sort by chunk start.
+//! - workers steal fixed-size *chunks* of the index range, and the chunks
+//!   are merged back into index order before any reduction — so sorts,
+//!   sums, and quantiles see exactly the serial operand order.
 //!
 //! # Supervision
 //!
-//! [`try_par_map_indexed`] is the supervised variant: a [`RunBudget`]
-//! (cooperative [`CancelToken`] + polled wall-clock deadline) is checked at
-//! every chunk boundary, a panicking item is caught at the item boundary
-//! and returned as [`PpatcError::WorkerPanic`] instead of unwinding the
-//! scope, and an interrupted run returns
-//! [`PpatcError::Interrupted`] carrying the completed-index set instead of
-//! discarding partial work. [`try_par_map_journaled`] additionally streams
-//! completed chunks to a crash-safe [`Journal`](crate::checkpoint::Journal)
-//! and replays journaled items on resume — byte-identical to an
-//! uninterrupted run because every item is a pure function of its index.
+//! Every run is supervised. A [`RunBudget`] (cooperative [`CancelToken`] +
+//! polled wall-clock deadline) is checked at every chunk boundary, and an
+//! interrupted run returns [`PpatcError::Interrupted`] carrying the
+//! completed-index set instead of discarding partial work. A panicking
+//! chunk is re-run item by item, so the panic is pinned to its index in
+//! [`Outcomes::panicked`] instead of unwinding the scope. An optional
+//! [`Sink`] — a crash-safe [`Journal`](crate::checkpoint::Journal) —
+//! persists completed chunks and replays journaled items on resume,
+//! byte-identical to an uninterrupted run because every item is a pure
+//! function of its index. An unsupervised run is just
+//! [`RunBudget::unlimited`] with no sink.
 //!
 //! [`SplitMix64::stream`]: ppatc_units::rng::SplitMix64::stream
 
 use crate::checkpoint::{Checkpointable, Journal, JournalSpec};
 use crate::error::{InterruptReason, PpatcError};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Smallest number of items a worker claims at once. Large enough that the
@@ -46,7 +45,7 @@ use std::time::{Duration, Instant};
 const MIN_CHUNK: usize = 1;
 
 /// Upper bound on the chunk size, keeping late-arriving workers from
-/// starving on very large index spaces.
+/// starving on very large index spaces and batch buffers cache-sized.
 const MAX_CHUNK: usize = 1024;
 
 /// The default worker count: one per available core (1 when parallelism
@@ -55,115 +54,300 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
+/// The work one engine run maps over an index space.
+///
+/// Any `Fn(usize) -> T + Sync` closure is a kernel whose batch is the plain
+/// map of its items. A kernel that can hoist work shared by a run of
+/// consecutive items overrides [`Kernel::batch`], the way
+/// [`RatioSource::tcdp_ratio_batch`](crate::montecarlo::RatioSource::tcdp_ratio_batch)
+/// does for Monte-Carlo samples.
+pub trait Kernel: Sync {
+    /// The value of one item.
+    type Item: Send;
+
+    /// Evaluates item `i` — a pure function of the index.
+    fn item(&self, i: usize) -> Self::Item;
+
+    /// Appends items `start..end` to `out` in index order.
+    ///
+    /// The default maps [`Kernel::item`]. An override may hoist work that
+    /// is constant across items (the hoisted values are the ones a per-item
+    /// evaluation would recompute) but must stay bit-identical to the
+    /// default: chunk boundaries differ between worker counts. The engine
+    /// checks that exactly `end - start` items were appended and re-runs a
+    /// wrong-size or panicking batch item by item.
+    fn batch(&self, start: usize, end: usize, out: &mut Vec<Self::Item>) {
+        out.extend((start..end).map(|i| self.item(i)));
+    }
+}
+
+impl<T: Send, F: Fn(usize) -> T + Sync> Kernel for F {
+    type Item = T;
+
+    fn item(&self, i: usize) -> T {
+        self(i)
+    }
+}
+
+/// A checkpoint sink for one engine run: it replays the items an earlier
+/// run journaled and persists every chunk this run completes.
+/// [`Journal`] implements it for every
+/// [`Checkpointable`](crate::checkpoint::Checkpointable) item type.
+pub trait Sink<T>: Sync {
+    /// Rejects a run of `n` items the sink was not opened for.
+    ///
+    /// # Errors
+    ///
+    /// [`PpatcError::Checkpoint`] naming the mismatch.
+    fn check_run(&self, n: usize) -> Result<(), PpatcError>;
+
+    /// The journaled outcome of item `i`: `Some(Some(value))`, `Some(None)`
+    /// for an item journaled as a panic, or `None` when it must be
+    /// evaluated.
+    fn replay(&self, i: usize) -> Option<Option<T>>;
+
+    /// Persists the completed chunk `start..end`: `values` holds its items
+    /// in index order, skipping the ascending `panicked` indices.
+    ///
+    /// # Errors
+    ///
+    /// [`PpatcError::Checkpoint`] when the chunk cannot be persisted.
+    fn append(
+        &self,
+        start: usize,
+        end: usize,
+        values: &[T],
+        panicked: &[usize],
+    ) -> Result<(), PpatcError>;
+}
+
+/// The items of one completed engine run.
+///
+/// Values are stored plain, with the panicked indices kept beside them, so
+/// a run costs one `T` per item whatever the error type.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Outcomes<T> {
+    /// The values of the items that completed, in index order. A panicked
+    /// item has no entry.
+    pub values: Vec<T>,
+    /// The indices whose item panicked, ascending.
+    pub panicked: Vec<usize>,
+}
+
+impl<T> Outcomes<T> {
+    /// Every item's value, for runs a missing item would misreport (a
+    /// raster, a ranking, a sweep table).
+    ///
+    /// # Errors
+    ///
+    /// [`PpatcError::WorkerPanic`] naming the first panicked index.
+    #[must_use = "this returns a Result that must be handled"]
+    pub fn try_into_values(self) -> Result<Vec<T>, PpatcError> {
+        match self.panicked.first() {
+            Some(&index) => Err(PpatcError::WorkerPanic { index }),
+            None => Ok(self.values),
+        }
+    }
+}
+
+/// Evaluates `kernel` for every index in `0..n` across `jobs` workers under
+/// `budget`, returning the items in index order — byte-identical to
+/// `(0..n).map(|i| kernel.item(i))` for every worker count.
+///
+/// - **Chunked work stealing.** `jobs` is clamped to `[1, n]`; workers
+///   claim chunks of `(n / (jobs·8)).clamp(1, 1024)` indices, so a slow
+///   chunk does not serialize the run. `jobs <= 1` runs inline on the
+///   caller's thread and extends one output `Vec` in place.
+/// - **Budget.** `budget` is polled before every chunk is claimed; a
+///   cancelled or expired run returns [`PpatcError::Interrupted`] with the
+///   completed-index set. In-flight chunks finish first.
+/// - **Unwind boundary.** One `catch_unwind` wraps each chunk's batch. A
+///   chunk that panics or appends the wrong number of items is re-run item
+///   by item, each under its own boundary, so a panic lands in
+///   [`Outcomes::panicked`] at its exact index and siblings are unaffected.
+/// - **Sink.** With a `sink`, journaled items are replayed instead of
+///   evaluated (a chunk holding any of them runs item by item), and every
+///   chunk with fresh items is persisted before its worker claims another.
+///
+/// # Errors
+///
+/// [`PpatcError::Interrupted`] when the budget stops the run (chunks
+/// completed before the interrupt *are* persisted, so a resumed run skips
+/// them), [`PpatcError::Checkpoint`] when the sink does not match the run
+/// or cannot be written.
+#[must_use = "this returns a Result that must be handled"]
+pub fn try_map_indexed<K: Kernel>(
+    n: usize,
+    jobs: usize,
+    budget: &RunBudget,
+    sink: Option<&dyn Sink<K::Item>>,
+    kernel: K,
+) -> Result<Outcomes<K::Item>, PpatcError> {
+    if let Some(s) = sink {
+        s.check_run(n)?;
+    }
+    let jobs = jobs.clamp(1, n.max(1));
+    let inline = jobs == 1;
+    // Aim for several chunks per worker so the tail balances.
+    let chunk = (n / (jobs * 8)).clamp(MIN_CHUNK, MAX_CHUNK);
+    let next = AtomicUsize::new(0);
+    // The first stop reason wins; every worker checks it between chunks.
+    let stop: OnceLock<Stop> = OnceLock::new();
+
+    let worker = || {
+        let mut claimed = Claimed {
+            runs: Vec::new(),
+            panicked: Vec::new(),
+        };
+        while stop.get().is_none() {
+            if let Err(reason) = budget.check() {
+                let _ = stop.set(Stop::Interrupted(reason));
+                break;
+            }
+            let start = next.fetch_add(chunk, Ordering::Relaxed);
+            if start >= n {
+                break;
+            }
+            let end = (start + chunk).min(n);
+            // The inline worker claims chunks in index order, so it grows
+            // one run that becomes the output; parallel workers keep one
+            // exact-size run per chunk for the merge.
+            if !inline || claimed.runs.is_empty() {
+                let capacity = if inline { n } else { end - start };
+                claimed
+                    .runs
+                    .push((start, start, Vec::with_capacity(capacity)));
+            }
+            let Some(run) = claimed.runs.last_mut() else {
+                break;
+            };
+            if let Err(e) = run_chunk(&kernel, sink, start, end, &mut run.2, &mut claimed.panicked)
+            {
+                let _ = stop.set(Stop::Failed(e));
+                break;
+            }
+            run.1 = end;
+        }
+        claimed
+    };
+
+    let claims: Vec<Claimed<K::Item>> = if inline {
+        vec![worker()]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..jobs).map(|_| scope.spawn(worker)).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        })
+    };
+
+    let mut runs: Vec<(usize, usize, Vec<K::Item>)> = Vec::new();
+    let mut panicked: Vec<usize> = Vec::new();
+    for c in claims {
+        runs.extend(c.runs);
+        panicked.extend(c.panicked);
+    }
+    runs.sort_unstable_by_key(|run| run.0);
+    match stop.into_inner() {
+        Some(Stop::Failed(e)) => Err(e),
+        Some(Stop::Interrupted(reason)) => Err(PpatcError::Interrupted {
+            reason,
+            completed: coalesce_completed(&runs),
+            total: n,
+        }),
+        None => {
+            panicked.sort_unstable();
+            let values = if runs.len() == 1 {
+                runs.pop().map(|run| run.2).unwrap_or_default()
+            } else {
+                let mut values = Vec::with_capacity(runs.iter().map(|run| run.2.len()).sum());
+                for run in runs {
+                    values.extend(run.2);
+                }
+                values
+            };
+            Ok(Outcomes { values, panicked })
+        }
+    }
+}
+
 /// Evaluates `f(i)` for every `i in 0..n` across `jobs` workers and returns
 /// the results **in index order** — byte-identical to
-/// `(0..n).map(f).collect()` for every worker count.
+/// `(0..n).map(f).collect()` for every worker count. The unsupervised
+/// face of [`try_map_indexed`].
 ///
-/// `jobs` is clamped to `[1, n]`; `jobs <= 1` runs inline without spawning
-/// threads. Chunked work stealing keeps workers busy even when per-item
-/// cost varies (a design point that fails timing returns much faster than
-/// one that characterizes a memory macro).
+/// # Panics
+///
+/// Panics when an item panics, naming its index.
 pub fn par_map_indexed<T, F>(n: usize, jobs: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let jobs = jobs.max(1).min(n.max(1));
-    if jobs <= 1 {
-        return (0..n).map(f).collect();
+    match try_map_indexed(n, jobs, &RunBudget::unlimited(), None, f)
+        .and_then(Outcomes::try_into_values)
+    {
+        Ok(values) => values,
+        Err(e) => panic!("{e}"),
     }
-    // Aim for several chunks per worker so the tail balances.
-    let chunk = (n / (jobs * 8)).clamp(MIN_CHUNK, MAX_CHUNK);
-    let next = AtomicUsize::new(0);
-    let runs: Mutex<Vec<(usize, Vec<T>)>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| {
-                let mut local: Vec<(usize, Vec<T>)> = Vec::new();
-                loop {
-                    let start = next.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    let end = (start + chunk).min(n);
-                    local.push((start, (start..end).map(&f).collect()));
-                }
-                if let Ok(mut all) = runs.lock() {
-                    all.append(&mut local);
-                }
-            });
-        }
-    });
-    let mut all = match runs.into_inner() {
-        Ok(v) => v,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    all.sort_by_key(|(start, _)| *start);
-    all.into_iter().flat_map(|(_, run)| run).collect()
 }
 
-/// Batched [`par_map_indexed`]: instead of one call per index, `f(start,
-/// end)` evaluates the half-open index range `[start, end)` in one pass and
-/// returns exactly `end - start` results.
-///
-/// **Contract:** `f(start, end)` must be bit-identical to
-/// `(start..end).map(per_index).collect()` for the per-index function it
-/// batches — chunk boundaries differ between worker counts, so any
-/// cross-item coupling inside a batch would break the engine's
-/// byte-identical-for-any-worker-count guarantee. Batch implementations
-/// may hoist work that is constant across items (the hoisted values are
-/// the same ones a per-index evaluation would recompute), but must not
-/// reassociate per-item arithmetic.
-///
-/// `jobs <= 1` runs inline, feeding `f` ranges of at most [`MAX_CHUNK`]
-/// items so batch buffers stay cache-sized.
-pub fn par_map_indexed_batched<T, F>(n: usize, jobs: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, usize) -> Vec<T> + Sync,
-{
-    let jobs = jobs.max(1).min(n.max(1));
-    if jobs <= 1 {
-        let mut out: Vec<T> = Vec::with_capacity(n);
-        let mut start = 0;
-        while start < n {
-            let end = (start + MAX_CHUNK).min(n);
-            let run = f(start, end);
-            debug_assert_eq!(run.len(), end - start, "batch returned a wrong-size run");
-            out.extend(run);
-            start = end;
-        }
-        return out;
-    }
-    let chunk = (n / (jobs * 8)).clamp(MIN_CHUNK, MAX_CHUNK);
-    let next = AtomicUsize::new(0);
-    let runs: Mutex<Vec<(usize, Vec<T>)>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| {
-                let mut local: Vec<(usize, Vec<T>)> = Vec::new();
-                loop {
-                    let start = next.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    let end = (start + chunk).min(n);
-                    let run = f(start, end);
-                    debug_assert_eq!(run.len(), end - start, "batch returned a wrong-size run");
-                    local.push((start, run));
-                }
-                if let Ok(mut all) = runs.lock() {
-                    all.append(&mut local);
-                }
-            });
-        }
-    });
-    let mut all = match runs.into_inner() {
-        Ok(v) => v,
-        Err(poisoned) => poisoned.into_inner(),
+/// Why a run stopped before claiming every chunk.
+enum Stop {
+    Interrupted(InterruptReason),
+    Failed(PpatcError),
+}
+
+/// What one worker claimed: `(start, end, values)` runs and the indices
+/// that panicked.
+struct Claimed<T> {
+    runs: Vec<(usize, usize, Vec<T>)>,
+    panicked: Vec<usize>,
+}
+
+/// Evaluates the chunk `start..end`, appending its values to `out` and its
+/// panicked indices to `panicked`, replaying from and persisting to `sink`.
+fn run_chunk<K: Kernel>(
+    kernel: &K,
+    sink: Option<&dyn Sink<K::Item>>,
+    start: usize,
+    end: usize,
+    out: &mut Vec<K::Item>,
+    panicked: &mut Vec<usize>,
+) -> Result<(), PpatcError> {
+    let (base, panicked_base) = (out.len(), panicked.len());
+    let replayed: Vec<Option<Option<K::Item>>> = match sink {
+        Some(s) => (start..end).map(|i| s.replay(i)).collect(),
+        None => Vec::new(),
     };
-    all.sort_by_key(|(start, _)| *start);
-    all.into_iter().flat_map(|(_, run)| run).collect()
+    let fresh = replayed.is_empty() || replayed.iter().any(Option::is_none);
+    // Each item is a pure function of its index over read-only inputs, and
+    // a failed batch's partial output is truncated away below, so no broken
+    // invariant can leak across the unwind boundary: AssertUnwindSafe is
+    // sound here.
+    let batched = replayed.iter().all(Option::is_none)
+        && catch_unwind(AssertUnwindSafe(|| kernel.batch(start, end, out))).is_ok()
+        && out.len() == base + (end - start);
+    if !batched {
+        out.truncate(base);
+        let mut replayed = replayed.into_iter();
+        for i in start..end {
+            match replayed.next().flatten() {
+                Some(Some(value)) => out.push(value),
+                Some(None) => panicked.push(i),
+                None => match catch_unwind(AssertUnwindSafe(|| kernel.item(i))) {
+                    Ok(value) => out.push(value),
+                    Err(_) => panicked.push(i),
+                },
+            }
+        }
+    }
+    match sink {
+        Some(s) if fresh => s.append(start, end, &out[base..], &panicked[panicked_base..]),
+        _ => Ok(()),
+    }
 }
 
 /// A cooperative cancellation handle: clone it, hand one clone to a
@@ -260,11 +444,10 @@ impl RunBudget {
     }
 }
 
-/// Everything a supervised entry point needs beyond its inputs: the
-/// [`RunBudget`], and optionally a checkpoint journal path plus whether to
-/// resume from it. The default supervisor is unlimited and journal-free,
-/// making supervised entry points drop-in equivalents of their unsupervised
-/// counterparts.
+/// Everything an operation's one fallible call needs beyond its inputs:
+/// the [`RunBudget`], and optionally a checkpoint journal path plus whether
+/// to resume from it. The default supervisor is unlimited and
+/// journal-free.
 #[derive(Clone, Debug, Default)]
 pub struct Supervisor {
     budget: RunBudget,
@@ -306,518 +489,231 @@ impl Supervisor {
         &self.budget
     }
 
-    /// Opens this supervisor's journal for a run described by `spec`:
-    /// `None` when no checkpoint path is configured, a fresh journal when
-    /// not resuming, a reloaded one otherwise.
+    /// Opens this supervisor's journal for a run described by `spec`, as
+    /// the [`Sink`] of [`try_map_indexed`]: `None` when no checkpoint path
+    /// is configured, a fresh journal when not resuming, a reloaded one
+    /// otherwise.
     ///
     /// # Errors
     ///
     /// [`PpatcError::Checkpoint`] on I/O failure or a spec mismatch with an
     /// existing journal.
     #[must_use = "this returns a Result that must be handled"]
-    pub fn try_open_journal(&self, spec: &JournalSpec) -> Result<Option<Journal>, PpatcError> {
-        match &self.checkpoint {
-            None => Ok(None),
-            Some(path) if self.resume => Journal::try_resume(path, spec).map(Some),
-            Some(path) => Journal::try_create(path, spec).map(Some),
-        }
+    pub fn try_open_journal<T: Checkpointable>(
+        &self,
+        spec: &JournalSpec,
+    ) -> Result<Option<Box<dyn Sink<T>>>, PpatcError> {
+        let journal = match &self.checkpoint {
+            None => return Ok(None),
+            Some(path) if self.resume => Journal::try_resume(path, spec)?,
+            Some(path) => Journal::try_create(path, spec)?,
+        };
+        Ok(Some(Box::new(journal)))
     }
 }
 
-/// Locks a mutex, recovering the guard from a poisoned lock (a worker that
-/// panicked between the item boundary and the push cannot corrupt a
-/// `Vec`/`Option` in a way we care about — partial chunks are re-run).
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Whether a shared `Option` slot has been set.
-fn slot_is_set<T>(slot: &Mutex<Option<T>>) -> bool {
-    lock_unpoisoned(slot).is_some()
-}
-
-/// First-writer-wins store into a shared `Option` slot.
-fn set_slot_once<T>(slot: &Mutex<Option<T>>, value: T) {
-    let mut guard = lock_unpoisoned(slot);
-    if guard.is_none() {
-        *guard = Some(value);
-    }
-}
-
-/// Coalesces index-sorted disjoint `(start, run)` chunks into sorted,
-/// disjoint half-open `[start, end)` runs for
+/// Coalesces index-sorted disjoint `(start, end, _)` runs into sorted,
+/// disjoint half-open `[start, end)` spans for
 /// [`PpatcError::Interrupted::completed`].
-fn coalesce_completed<T>(runs: &[(usize, Vec<T>)]) -> Vec<(usize, usize)> {
+fn coalesce_completed<T>(runs: &[(usize, usize, T)]) -> Vec<(usize, usize)> {
     let mut spans: Vec<(usize, usize)> = Vec::new();
-    for (start, run) in runs {
-        let end = start + run.len();
+    for &(start, end, _) in runs {
         match spans.last_mut() {
-            Some(last) if last.1 == *start => last.1 = end,
-            _ => spans.push((*start, end)),
+            Some(last) if last.1 == start => last.1 = end,
+            _ => spans.push((start, end)),
         }
     }
     spans
-}
-
-/// How journaled items enter and leave one supervised run. `NoJournal` is
-/// the zero-cost stub for unjournaled runs.
-trait JournalHooks<T>: Sync {
-    /// A previously journaled value for item `i`, if any.
-    fn preloaded(&self, i: usize) -> Option<Result<T, PpatcError>>;
-    /// Persists one completed chunk.
-    fn append(&self, start: usize, run: &[Result<T, PpatcError>]) -> Result<(), PpatcError>;
-}
-
-struct NoJournal;
-
-impl<T> JournalHooks<T> for NoJournal {
-    fn preloaded(&self, _i: usize) -> Option<Result<T, PpatcError>> {
-        None
-    }
-
-    fn append(&self, _start: usize, _run: &[Result<T, PpatcError>]) -> Result<(), PpatcError> {
-        Ok(())
-    }
-}
-
-struct WithJournal<'a>(&'a Journal);
-
-impl<T: Checkpointable> JournalHooks<T> for WithJournal<'_> {
-    fn preloaded(&self, i: usize) -> Option<Result<T, PpatcError>> {
-        self.0.preloaded_item(i)
-    }
-
-    fn append(&self, start: usize, run: &[Result<T, PpatcError>]) -> Result<(), PpatcError> {
-        self.0.append_chunk(start, run)
-    }
-}
-
-/// The shared supervised engine: chunked work stealing exactly like
-/// [`par_map_indexed`], plus budget polls at chunk boundaries, per-item
-/// `catch_unwind`, and journal preload/append hooks.
-fn supervised_map<T, F, J>(
-    n: usize,
-    jobs: usize,
-    budget: &RunBudget,
-    journal: &J,
-    f: F,
-) -> Result<Vec<Result<T, PpatcError>>, PpatcError>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    J: JournalHooks<T>,
-{
-    type ChunkRuns<T> = Vec<(usize, Vec<Result<T, PpatcError>>)>;
-    let jobs = jobs.max(1).min(n.max(1));
-    let chunk = (n / (jobs * 8).max(1)).clamp(MIN_CHUNK, MAX_CHUNK);
-    let next = AtomicUsize::new(0);
-    let runs: Mutex<ChunkRuns<T>> = Mutex::new(Vec::new());
-    let interrupted: Mutex<Option<InterruptReason>> = Mutex::new(None);
-    let fault: Mutex<Option<PpatcError>> = Mutex::new(None);
-
-    let worker = || {
-        let mut local: ChunkRuns<T> = Vec::new();
-        loop {
-            if slot_is_set(&interrupted) || slot_is_set(&fault) {
-                break;
-            }
-            if let Err(reason) = budget.check() {
-                set_slot_once(&interrupted, reason);
-                break;
-            }
-            let start = next.fetch_add(chunk, Ordering::Relaxed);
-            if start >= n {
-                break;
-            }
-            let end = (start + chunk).min(n);
-            let mut run: Vec<Result<T, PpatcError>> = Vec::with_capacity(end - start);
-            let mut any_fresh = false;
-            for i in start..end {
-                match journal.preloaded(i) {
-                    Some(item) => run.push(item),
-                    None => {
-                        any_fresh = true;
-                        // Each item is a pure function of its index over
-                        // read-only inputs, so no broken invariant can leak
-                        // across the unwind boundary: AssertUnwindSafe is
-                        // sound here.
-                        run.push(
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i)))
-                                .map_err(|_| PpatcError::WorkerPanic { index: i }),
-                        );
-                    }
-                }
-            }
-            if any_fresh {
-                if let Err(e) = journal.append(start, &run) {
-                    // The chunk is still good in memory; fail the run (the
-                    // user asked for a checkpoint they are not getting) but
-                    // let siblings wind down cooperatively.
-                    set_slot_once(&fault, e);
-                }
-            }
-            local.push((start, run));
-        }
-        let mut all = lock_unpoisoned(&runs);
-        all.append(&mut local);
-    };
-
-    if jobs <= 1 {
-        worker();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(worker);
-            }
-        });
-    }
-
-    let mut all = match runs.into_inner() {
-        Ok(v) => v,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    all.sort_by_key(|(start, _)| *start);
-    if let Some(e) = lock_unpoisoned(&fault).take() {
-        return Err(e);
-    }
-    if let Some(reason) = lock_unpoisoned(&interrupted).take() {
-        return Err(PpatcError::Interrupted {
-            reason,
-            completed: coalesce_completed(&all),
-            total: n,
-        });
-    }
-    Ok(all.into_iter().flat_map(|(_, run)| run).collect())
-}
-
-/// The batched supervised engine: like [`supervised_map`], but a chunk
-/// whose items are all fresh (nothing preloaded from the journal) is
-/// evaluated in one `f_batch(start, end)` call. Chunks that mix preloaded
-/// and fresh items — and batches that panic or return a wrong-size run —
-/// fall back to the per-item `f_item` path, so failure classification
-/// (which index panicked) is identical to the scalar engine.
-///
-/// `f_batch(start, end)` must be bit-identical to
-/// `(start..end).map(f_item).collect()`; see [`par_map_indexed_batched`].
-fn supervised_map_batched<T, FI, FB, J>(
-    n: usize,
-    jobs: usize,
-    budget: &RunBudget,
-    journal: &J,
-    f_item: FI,
-    f_batch: FB,
-) -> Result<Vec<Result<T, PpatcError>>, PpatcError>
-where
-    T: Send,
-    FI: Fn(usize) -> T + Sync,
-    FB: Fn(usize, usize) -> Vec<T> + Sync,
-    J: JournalHooks<T>,
-{
-    type ChunkRuns<T> = Vec<(usize, Vec<Result<T, PpatcError>>)>;
-    let jobs = jobs.max(1).min(n.max(1));
-    let chunk = (n / (jobs * 8).max(1)).clamp(MIN_CHUNK, MAX_CHUNK);
-    let next = AtomicUsize::new(0);
-    let runs: Mutex<ChunkRuns<T>> = Mutex::new(Vec::new());
-    let interrupted: Mutex<Option<InterruptReason>> = Mutex::new(None);
-    let fault: Mutex<Option<PpatcError>> = Mutex::new(None);
-
-    // Per-item evaluation with the same unwind boundary as the scalar
-    // engine; used for mixed chunks and as the fallback when a batch
-    // misbehaves. Soundness of AssertUnwindSafe: each item is a pure
-    // function of its index over read-only inputs.
-    let eval_item = |i: usize| -> Result<T, PpatcError> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f_item(i)))
-            .map_err(|_| PpatcError::WorkerPanic { index: i })
-    };
-
-    let worker = || {
-        let mut local: ChunkRuns<T> = Vec::new();
-        loop {
-            if slot_is_set(&interrupted) || slot_is_set(&fault) {
-                break;
-            }
-            if let Err(reason) = budget.check() {
-                set_slot_once(&interrupted, reason);
-                break;
-            }
-            let start = next.fetch_add(chunk, Ordering::Relaxed);
-            if start >= n {
-                break;
-            }
-            let end = (start + chunk).min(n);
-            let mut pre: Vec<Option<Result<T, PpatcError>>> =
-                (start..end).map(|i| journal.preloaded(i)).collect();
-            let all_fresh = pre.iter().all(Option::is_none);
-            let mut run: Vec<Result<T, PpatcError>> = Vec::with_capacity(end - start);
-            let mut any_fresh = false;
-            if all_fresh {
-                any_fresh = end > start;
-                let batch =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f_batch(start, end)));
-                match batch {
-                    Ok(vals) if vals.len() == end - start => {
-                        run.extend(vals.into_iter().map(Ok));
-                    }
-                    // A panicking (or wrong-size) batch cannot tell us which
-                    // item is at fault; re-run the chunk item by item so the
-                    // guilty index is pinned exactly as the scalar engine
-                    // would pin it.
-                    _ => run.extend((start..end).map(&eval_item)),
-                }
-            } else {
-                for (offset, slot) in pre.iter_mut().enumerate() {
-                    match slot.take() {
-                        Some(item) => run.push(item),
-                        None => {
-                            any_fresh = true;
-                            run.push(eval_item(start + offset));
-                        }
-                    }
-                }
-            }
-            if any_fresh {
-                if let Err(e) = journal.append(start, &run) {
-                    set_slot_once(&fault, e);
-                }
-            }
-            local.push((start, run));
-        }
-        let mut all = lock_unpoisoned(&runs);
-        all.append(&mut local);
-    };
-
-    if jobs <= 1 {
-        worker();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(worker);
-            }
-        });
-    }
-
-    let mut all = match runs.into_inner() {
-        Ok(v) => v,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    all.sort_by_key(|(start, _)| *start);
-    if let Some(e) = lock_unpoisoned(&fault).take() {
-        return Err(e);
-    }
-    if let Some(reason) = lock_unpoisoned(&interrupted).take() {
-        return Err(PpatcError::Interrupted {
-            reason,
-            completed: coalesce_completed(&all),
-            total: n,
-        });
-    }
-    Ok(all.into_iter().flat_map(|(_, run)| run).collect())
-}
-
-/// Supervised [`par_map_indexed`]: evaluates `f(i)` for every `i in 0..n`
-/// across `jobs` workers under `budget`, returning per-item results in
-/// index order.
-///
-/// Differences from the unsupervised engine:
-/// - `budget` is polled at every chunk boundary; a cancelled or expired run
-///   returns [`PpatcError::Interrupted`] carrying the completed-index set.
-/// - A panicking item is caught at the item boundary and surfaces as
-///   `Err(PpatcError::WorkerPanic { index })` in its slot; sibling items
-///   and workers are unaffected.
-///
-/// For any worker count, the `Ok` items are byte-identical to a serial
-/// `(0..n).map(f)` run.
-///
-/// # Errors
-///
-/// [`PpatcError::Interrupted`] when the budget stops the run.
-#[must_use = "this returns a Result that must be handled"]
-pub fn try_par_map_indexed<T, F>(
-    n: usize,
-    jobs: usize,
-    budget: &RunBudget,
-    f: F,
-) -> Result<Vec<Result<T, PpatcError>>, PpatcError>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    supervised_map(n, jobs, budget, &NoJournal, f)
-}
-
-/// [`try_par_map_indexed`] with crash-safe checkpointing: completed chunks
-/// stream to `journal` (when given), and items already journaled are
-/// replayed instead of recomputed — including items journaled as
-/// deterministic panics. Pass `None` to run unjournaled.
-///
-/// # Errors
-///
-/// [`PpatcError::Interrupted`] when the budget stops the run (items
-/// completed before the interrupt *are* journaled, so a resumed run skips
-/// them), [`PpatcError::Checkpoint`] when the journal cannot be written or
-/// does not match the run.
-#[must_use = "this returns a Result that must be handled"]
-pub fn try_par_map_journaled<T, F>(
-    n: usize,
-    jobs: usize,
-    budget: &RunBudget,
-    journal: Option<&Journal>,
-    f: F,
-) -> Result<Vec<Result<T, PpatcError>>, PpatcError>
-where
-    T: Send + Checkpointable,
-    F: Fn(usize) -> T + Sync,
-{
-    match journal {
-        None => supervised_map(n, jobs, budget, &NoJournal, f),
-        Some(j) => {
-            j.require_width::<T>()?;
-            if j.spec().items != n {
-                return Err(PpatcError::Checkpoint {
-                    detail: format!(
-                        "journal {} spans {} items, but the run has {n}",
-                        j.path().display(),
-                        j.spec().items
-                    ),
-                });
-            }
-            supervised_map(n, jobs, budget, &WithJournal(j), f)
-        }
-    }
-}
-
-/// [`try_par_map_journaled`] with a batched fast path: chunks with no
-/// journaled items run through `f_batch(start, end)` in one call, while
-/// resume replay, mixed chunks, and misbehaving batches fall back to the
-/// per-item `f_item`. Both closures must agree bitwise (`f_batch(s, e)` ≡
-/// `(s..e).map(f_item).collect()`), so results — including which index a
-/// deterministic panic is pinned to — are byte-identical to
-/// [`try_par_map_journaled`] for any worker count.
-///
-/// # Errors
-///
-/// [`PpatcError::Interrupted`] when the budget stops the run,
-/// [`PpatcError::Checkpoint`] when the journal cannot be written or does
-/// not match the run.
-#[must_use = "this returns a Result that must be handled"]
-pub fn try_par_map_journaled_batched<T, FI, FB>(
-    n: usize,
-    jobs: usize,
-    budget: &RunBudget,
-    journal: Option<&Journal>,
-    f_item: FI,
-    f_batch: FB,
-) -> Result<Vec<Result<T, PpatcError>>, PpatcError>
-where
-    T: Send + Checkpointable,
-    FI: Fn(usize) -> T + Sync,
-    FB: Fn(usize, usize) -> Vec<T> + Sync,
-{
-    match journal {
-        None => supervised_map_batched(n, jobs, budget, &NoJournal, f_item, f_batch),
-        Some(j) => {
-            j.require_width::<T>()?;
-            if j.spec().items != n {
-                return Err(PpatcError::Checkpoint {
-                    detail: format!(
-                        "journal {} spans {} items, but the run has {n}",
-                        j.path().display(),
-                        j.spec().items
-                    ),
-                });
-            }
-            supervised_map_batched(n, jobs, budget, &WithJournal(j), f_item, f_batch)
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn results_arrive_in_index_order_for_any_worker_count() {
-        let serial: Vec<usize> = (0..1000).map(|i| i * i).collect();
-        for jobs in [1, 2, 3, 8, 64] {
-            let parallel = par_map_indexed(1000, jobs, |i| i * i);
-            assert_eq!(parallel, serial, "jobs = {jobs}");
-        }
-    }
-
-    #[test]
-    fn small_inputs_and_edge_counts() {
-        assert_eq!(par_map_indexed(0, 4, |i| i), Vec::<usize>::new());
-        assert_eq!(par_map_indexed(1, 4, |i| i + 1), vec![1]);
-        assert_eq!(par_map_indexed(3, 100, |i| i), vec![0, 1, 2]);
-        assert_eq!(par_map_indexed(5, 0, |i| i), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn float_results_are_bit_identical_across_worker_counts() {
-        let f = |i: usize| (i as f64).sqrt().sin() / (i as f64 + 0.5);
-        let serial: Vec<u64> = (0..5000).map(|i| f(i).to_bits()).collect();
-        for jobs in [2, 4, 16] {
-            let parallel: Vec<u64> = par_map_indexed(5000, jobs, f)
-                .into_iter()
-                .map(f64::to_bits)
-                .collect();
-            assert_eq!(parallel, serial, "jobs = {jobs}");
-        }
-    }
-
-    #[test]
-    fn default_jobs_is_at_least_one() {
-        assert!(default_jobs() >= 1);
-    }
-
     /// A collision-free scratch path for one test.
     fn scratch(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("ppatc-eval-{}-{name}.txt", std::process::id()))
     }
 
-    fn unwrap_items<T>(items: Vec<Result<T, PpatcError>>) -> Vec<T> {
-        items
-            .into_iter()
-            .map(|r| r.expect("no item failed"))
-            .collect()
+    /// The reference item function of the engine tests.
+    fn f(i: usize) -> f64 {
+        (i as f64).sqrt().sin() / (i as f64 + 0.5)
     }
 
-    #[test]
-    fn supervised_run_matches_unsupervised_for_any_worker_count() {
-        let f = |i: usize| (i as f64).sqrt().sin() / (i as f64 + 0.5);
-        let reference: Vec<u64> = par_map_indexed(3000, 1, f)
-            .into_iter()
-            .map(f64::to_bits)
-            .collect();
-        for jobs in [1, 2, 8] {
-            let supervised = try_par_map_indexed(3000, jobs, &RunBudget::unlimited(), f)
-                .expect("unlimited budget never interrupts");
-            let bits: Vec<u64> = unwrap_items(supervised)
-                .into_iter()
-                .map(f64::to_bits)
-                .collect();
-            assert_eq!(bits, reference, "jobs = {jobs}");
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The fault a table case injects.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Fault {
+        Clean,
+        PanicAt(usize),
+        WrongSizeBatch,
+    }
+
+    /// `f` with `fault` injected, evaluated item by item.
+    #[derive(Clone, Copy)]
+    struct ItemOnly(Fault);
+
+    impl Kernel for ItemOnly {
+        type Item = f64;
+
+        fn item(&self, i: usize) -> f64 {
+            if let Fault::PanicAt(k) = self.0 {
+                assert!(i != k, "injected panic at item {k}");
+            }
+            f(i)
         }
     }
 
+    /// [`ItemOnly`] with a batch override: one pass over the chunk, one
+    /// value short when the fault asks for a wrong-size batch.
+    #[derive(Clone, Copy)]
+    struct Batched(Fault);
+
+    impl Kernel for Batched {
+        type Item = f64;
+
+        fn item(&self, i: usize) -> f64 {
+            ItemOnly(self.0).item(i)
+        }
+
+        fn batch(&self, start: usize, end: usize, out: &mut Vec<f64>) {
+            let take = match self.0 {
+                Fault::WrongSizeBatch => end - start - 1,
+                _ => end - start,
+            };
+            out.extend((start..start + take).map(|i| self.item(i)));
+        }
+    }
+
+    /// A kernel that fails the test if the engine evaluates anything.
+    struct MustReplay;
+
+    impl Kernel for MustReplay {
+        type Item = f64;
+
+        fn item(&self, i: usize) -> f64 {
+            panic!("item {i} must be replayed, not recomputed")
+        }
+
+        fn batch(&self, start: usize, _end: usize, _out: &mut Vec<f64>) {
+            panic!("batch at {start} must be replayed, not recomputed")
+        }
+    }
+
+    /// How a table case journals.
+    #[derive(Clone, Copy, Debug)]
+    enum Journaling {
+        None,
+        Fresh,
+        FullResume,
+    }
+
+    /// Runs `kernel` over `n` items as `journaling` asks; a full resume
+    /// first journals a complete run, then replays it with [`MustReplay`].
+    fn run_case<K: Kernel<Item = f64>>(
+        n: usize,
+        jobs: usize,
+        journaling: Journaling,
+        kernel: K,
+        label: &str,
+    ) -> Outcomes<f64> {
+        let unlimited = RunBudget::unlimited();
+        let path = scratch(label);
+        let spec = JournalSpec::for_run::<f64>("evaltest", n, &[7]);
+        let outcomes = match journaling {
+            Journaling::None => try_map_indexed(n, jobs, &unlimited, None, kernel),
+            Journaling::Fresh => {
+                let journal = Journal::try_create(&path, &spec).expect("create journal");
+                let out = try_map_indexed(n, jobs, &unlimited, Some(&journal), kernel);
+                let reloaded = Journal::try_resume(&path, &spec).expect("reload journal");
+                assert_eq!(
+                    reloaded.completed_items(),
+                    n,
+                    "{label}: every item journaled"
+                );
+                out
+            }
+            Journaling::FullResume => {
+                {
+                    let journal = Journal::try_create(&path, &spec).expect("create journal");
+                    try_map_indexed(n, jobs, &unlimited, Some(&journal), kernel)
+                        .expect("first leg completes");
+                }
+                let journal = Journal::try_resume(&path, &spec).expect("resume journal");
+                try_map_indexed(n, jobs, &unlimited, Some(&journal), MustReplay)
+            }
+        };
+        let _ = std::fs::remove_file(&path);
+        outcomes.expect("an unlimited run completes")
+    }
+
     #[test]
-    fn a_panicking_item_is_isolated_not_fatal() {
-        let results = try_par_map_indexed(100, 8, &RunBudget::unlimited(), |i| {
-            assert!(i != 37, "deterministic injected panic");
-            i * 2
-        })
-        .expect("a panicking item does not interrupt the run");
-        assert_eq!(results.len(), 100);
-        for (i, r) in results.iter().enumerate() {
-            if i == 37 {
-                assert_eq!(r, &Err(PpatcError::WorkerPanic { index: 37 }));
-            } else {
-                assert_eq!(r, &Ok(i * 2), "sibling items are unaffected");
+    fn every_engine_case_matches_the_serial_map() {
+        let n = 300;
+        let k = 137;
+        for jobs in [1, 2, 3, 8] {
+            for batched in [false, true] {
+                for journaling in [Journaling::None, Journaling::Fresh, Journaling::FullResume] {
+                    for fault in [Fault::Clean, Fault::PanicAt(k), Fault::WrongSizeBatch] {
+                        if fault == Fault::WrongSizeBatch && !batched {
+                            // The default batch maps items; it cannot miscount.
+                            continue;
+                        }
+                        let label = format!("case-{jobs}-{batched}-{journaling:?}-{fault:?}");
+                        let got = if batched {
+                            run_case(n, jobs, journaling, Batched(fault), &label)
+                        } else {
+                            run_case(n, jobs, journaling, ItemOnly(fault), &label)
+                        };
+                        let pinned: Vec<usize> = match fault {
+                            Fault::PanicAt(k) => vec![k],
+                            _ => Vec::new(),
+                        };
+                        let want: Vec<f64> =
+                            (0..n).filter(|i| !pinned.contains(i)).map(f).collect();
+                        assert_eq!(got.panicked, pinned, "{label}: panicked indices");
+                        assert_eq!(bits(&got.values), bits(&want), "{label}: values");
+                        match got.try_into_values() {
+                            Ok(_) => assert!(pinned.is_empty(), "{label}"),
+                            Err(e) => {
+                                assert_eq!(e, PpatcError::WorkerPanic { index: k }, "{label}")
+                            }
+                        }
+                    }
+                }
             }
         }
+    }
+
+    #[test]
+    fn par_map_indexed_handles_small_inputs_and_edge_counts() {
+        assert_eq!(par_map_indexed(0, 4, |i| i), Vec::<usize>::new());
+        assert_eq!(par_map_indexed(1, 4, |i| i + 1), vec![1]);
+        assert_eq!(par_map_indexed(3, 100, |i| i), vec![0, 1, 2]);
+        assert_eq!(par_map_indexed(5, 0, |i| i), vec![0, 1, 2, 3, 4]);
+        for jobs in [1, 2, 3, 8, 64] {
+            assert_eq!(
+                par_map_indexed(1000, jobs, |i| i * i),
+                (0..1000).map(|i| i * i).collect::<Vec<_>>()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "item 37")]
+    fn par_map_indexed_panics_its_caller_on_a_panicking_item() {
+        let _ = par_map_indexed(100, 4, |i| {
+            assert!(i != 37, "deterministic injected panic");
+            i
+        });
+    }
+
+    #[test]
+    fn default_jobs_is_at_least_one() {
+        assert!(default_jobs() >= 1);
     }
 
     #[test]
@@ -827,7 +723,7 @@ mod tests {
         assert!(token.is_cancelled());
         let budget = RunBudget::unlimited().with_cancel(&token);
         let calls = AtomicUsize::new(0);
-        let err = try_par_map_indexed(1000, 4, &budget, |i| {
+        let err = try_map_indexed(1000, 4, &budget, None, |i| {
             calls.fetch_add(1, Ordering::Relaxed);
             i
         })
@@ -850,7 +746,7 @@ mod tests {
     #[test]
     fn expired_deadline_interrupts_with_a_typed_reason() {
         let budget = RunBudget::unlimited().with_deadline(Instant::now());
-        let err = try_par_map_indexed(100, 2, &budget, |i| i)
+        let err = try_map_indexed(100, 2, &budget, None, |i| i)
             .expect_err("an already-expired deadline stops the run");
         assert!(
             matches!(
@@ -872,7 +768,7 @@ mod tests {
         let token = CancelToken::new();
         let budget = RunBudget::unlimited().with_cancel(&token);
         let calls = AtomicUsize::new(0);
-        let err = try_par_map_indexed(1000, 1, &budget, |i| {
+        let err = try_map_indexed(1000, 1, &budget, None, |i| {
             if calls.fetch_add(1, Ordering::Relaxed) + 1 == 96 {
                 token.cancel();
             }
@@ -885,7 +781,7 @@ mod tests {
             } => {
                 assert_eq!(reason, InterruptReason::Cancelled);
                 let done: usize = completed.iter().map(|&(s, e)| e - s).sum();
-                assert!(done >= 96 && done < 1000, "partial work kept: {done}");
+                assert!((96..1000).contains(&done), "partial work kept: {done}");
             }
             other => panic!("expected Interrupted, got {other}"),
         }
@@ -893,37 +789,9 @@ mod tests {
 
     #[test]
     fn coalesce_merges_adjacent_chunks() {
-        let runs = vec![(0, vec![0, 1]), (2, vec![2]), (5, vec![5, 6])];
+        let runs = vec![(0, 2, ()), (2, 3, ()), (5, 7, ())];
         assert_eq!(coalesce_completed(&runs), vec![(0, 3), (5, 7)]);
         assert_eq!(coalesce_completed::<u8>(&[]), Vec::<(usize, usize)>::new());
-    }
-
-    #[test]
-    fn journaled_run_resumes_entirely_from_disk() {
-        let path = scratch("replay");
-        let spec = JournalSpec::for_run::<f64>("evaltest", 500, &[7]);
-        let f = |i: usize| (i as f64) * 1.5;
-        let first = {
-            let journal = Journal::try_create(&path, &spec).expect("create journal");
-            unwrap_items(
-                try_par_map_journaled(500, 4, &RunBudget::unlimited(), Some(&journal), f)
-                    .expect("journaled run completes"),
-            )
-        };
-        // Resume with a closure that would panic if any item were
-        // recomputed: every value must come from the journal.
-        let journal = Journal::try_resume(&path, &spec).expect("resume journal");
-        assert_eq!(journal.completed_items(), 500);
-        let replayed = unwrap_items(
-            try_par_map_journaled(500, 4, &RunBudget::unlimited(), Some(&journal), |i| {
-                panic!("item {i} must be replayed, not recomputed")
-            })
-            .expect("replay completes"),
-        );
-        let first_bits: Vec<u64> = first.into_iter().map(f64::to_bits).collect();
-        let replayed_bits: Vec<u64> = replayed.into_iter().map(f64::to_bits).collect();
-        assert_eq!(first_bits, replayed_bits);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -931,8 +799,8 @@ mod tests {
         let path = scratch("resume");
         let n = 800;
         let spec = JournalSpec::for_run::<f64>("evaltest", n, &[11]);
-        let f = |i: usize| (i as f64).cos() * 3.0;
-        let reference: Vec<u64> = (0..n).map(|i| f(i).to_bits()).collect();
+        let g = |i: usize| (i as f64).cos() * 3.0;
+        let reference: Vec<u64> = (0..n).map(|i| g(i).to_bits()).collect();
 
         // Interrupted first leg: cancel after ~a third of the items.
         let token = CancelToken::new();
@@ -940,11 +808,11 @@ mod tests {
         let calls = AtomicUsize::new(0);
         {
             let journal = Journal::try_create(&path, &spec).expect("create journal");
-            let err = try_par_map_journaled(n, 1, &budget, Some(&journal), |i| {
+            let err = try_map_indexed(n, 1, &budget, Some(&journal), |i| {
                 if calls.fetch_add(1, Ordering::Relaxed) + 1 == n / 3 {
                     token.cancel();
                 }
-                f(i)
+                g(i)
             })
             .expect_err("first leg is cancelled");
             match err {
@@ -958,14 +826,14 @@ mod tests {
 
         // Resumed second leg: unlimited budget, journaled items replayed.
         let journal = Journal::try_resume(&path, &spec).expect("resume journal");
-        let replayed_before = journal.completed_items();
-        assert!(replayed_before > 0, "the first leg journaled its chunks");
-        let resumed = unwrap_items(
-            try_par_map_journaled(n, 4, &RunBudget::unlimited(), Some(&journal), f)
-                .expect("second leg completes"),
+        assert!(
+            journal.completed_items() > 0,
+            "the first leg journaled its chunks"
         );
-        let resumed_bits: Vec<u64> = resumed.into_iter().map(f64::to_bits).collect();
-        assert_eq!(resumed_bits, reference, "resume is byte-identical");
+        let resumed = try_map_indexed(n, 4, &RunBudget::unlimited(), Some(&journal), g)
+            .and_then(Outcomes::try_into_values)
+            .expect("second leg completes");
+        assert_eq!(bits(&resumed), reference, "resume is byte-identical");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -974,130 +842,9 @@ mod tests {
         let path = scratch("mismatch");
         let spec = JournalSpec::for_run::<f64>("evaltest", 10, &[]);
         let journal = Journal::try_create(&path, &spec).expect("create journal");
-        let err =
-            try_par_map_journaled(11, 1, &RunBudget::unlimited(), Some(&journal), |i| i as f64)
-                .expect_err("item count differs from the spec");
+        let err = try_map_indexed(11, 1, &RunBudget::unlimited(), Some(&journal), |i| i as f64)
+            .expect_err("item count differs from the spec");
         assert!(matches!(err, PpatcError::Checkpoint { .. }), "{err}");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn batched_map_is_bit_identical_to_per_index_for_any_worker_count() {
-        let f = |i: usize| (i as f64).sqrt().sin() / (i as f64 + 0.5);
-        let serial: Vec<u64> = (0..5000).map(|i| f(i).to_bits()).collect();
-        for jobs in [1, 2, 4, 16] {
-            let batched: Vec<u64> =
-                par_map_indexed_batched(5000, jobs, |s, e| (s..e).map(f).collect())
-                    .into_iter()
-                    .map(f64::to_bits)
-                    .collect();
-            assert_eq!(batched, serial, "jobs = {jobs}");
-        }
-        assert_eq!(
-            par_map_indexed_batched(0, 4, |s, e| (s..e).collect::<Vec<_>>()),
-            Vec::<usize>::new()
-        );
-    }
-
-    #[test]
-    fn supervised_batched_matches_the_scalar_engine() {
-        let f = |i: usize| (i as f64).cos() * 3.0;
-        let reference: Vec<u64> = (0..3000).map(|i| f(i).to_bits()).collect();
-        for jobs in [1, 2, 8] {
-            let batched = try_par_map_journaled_batched(
-                3000,
-                jobs,
-                &RunBudget::unlimited(),
-                None,
-                f,
-                |s, e| (s..e).map(f).collect(),
-            )
-            .expect("unlimited budget never interrupts");
-            let bits: Vec<u64> = unwrap_items(batched)
-                .into_iter()
-                .map(f64::to_bits)
-                .collect();
-            assert_eq!(bits, reference, "jobs = {jobs}");
-        }
-    }
-
-    #[test]
-    fn a_panicking_batch_falls_back_and_pins_the_guilty_index() {
-        let f_item = |i: usize| {
-            if i == 137 {
-                panic!("item 137 is bad");
-            }
-            i as f64
-        };
-        let results =
-            try_par_map_journaled_batched(300, 4, &RunBudget::unlimited(), None, f_item, |s, e| {
-                (s..e).map(f_item).collect()
-            })
-            .expect("a panicking item is isolated, not fatal");
-        assert_eq!(results.len(), 300);
-        for (i, r) in results.iter().enumerate() {
-            if i == 137 {
-                assert!(
-                    matches!(r, Err(PpatcError::WorkerPanic { index: 137 })),
-                    "index 137 carries the panic, got {r:?}"
-                );
-            } else {
-                assert_eq!(*r.as_ref().expect("healthy item"), i as f64);
-            }
-        }
-    }
-
-    #[test]
-    fn a_wrong_size_batch_falls_back_to_per_item_results() {
-        let f_item = |i: usize| i as f64 + 0.25;
-        let results = try_par_map_journaled_batched(
-            100,
-            1,
-            &RunBudget::unlimited(),
-            None,
-            f_item,
-            |s, e| (s..e).map(f_item).skip(1).collect(), // one short: must be discarded
-        )
-        .expect("fallback completes the run");
-        let got = unwrap_items(results);
-        let want: Vec<f64> = (0..100).map(f_item).collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn batched_resume_replays_journaled_items_without_recomputing() {
-        let path = scratch("batched-resume");
-        let n = 600;
-        let spec = JournalSpec::for_run::<f64>("evaltest", n, &[3]);
-        let f = |i: usize| (i as f64) * 1.25;
-        {
-            let journal = Journal::try_create(&path, &spec).expect("create journal");
-            try_par_map_journaled_batched(
-                n,
-                4,
-                &RunBudget::unlimited(),
-                Some(&journal),
-                f,
-                |s, e| (s..e).map(f).collect(),
-            )
-            .expect("first leg completes");
-        }
-        let journal = Journal::try_resume(&path, &spec).expect("resume journal");
-        assert_eq!(journal.completed_items(), n);
-        let replayed = unwrap_items(
-            try_par_map_journaled_batched(
-                n,
-                4,
-                &RunBudget::unlimited(),
-                Some(&journal),
-                |i: usize| -> f64 { panic!("item {i} must be replayed, not recomputed") },
-                |s, _e| -> Vec<f64> { panic!("batch at {s} must be replayed, not recomputed") },
-            )
-            .expect("replay completes"),
-        );
-        let want: Vec<u64> = (0..n).map(|i| f(i).to_bits()).collect();
-        let got: Vec<u64> = replayed.into_iter().map(f64::to_bits).collect();
-        assert_eq!(got, want);
         let _ = std::fs::remove_file(&path);
     }
 

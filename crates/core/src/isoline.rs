@@ -17,7 +17,7 @@
 
 use crate::checkpoint::JournalSpec;
 use crate::error::{check, PpatcError, ValidationError};
-use crate::eval::Supervisor;
+use crate::eval::{try_map_indexed, Supervisor};
 use crate::lifetime::{CarbonTrajectory, Lifetime};
 
 /// Uncertainty knobs of Fig. 6b.
@@ -212,56 +212,25 @@ impl TcdpMap {
     }
 
     /// Rasterizes the ratio colormap over `[x0, x1] × [y0, y1]` as
-    /// `(x, y, ratio)` triples, row-major in y. Rejects resolutions below
-    /// 2×2 and empty or non-finite ranges.
-    #[must_use = "this returns a Result that must be handled"]
-    // ppatc-lint: allow(raw-unit-api) — raster axes are dimensionless scale factors
-    pub fn try_raster(
-        &self,
-        (x0, x1): (f64, f64),
-        (y0, y1): (f64, f64),
-        nx: usize,
-        ny: usize,
-    ) -> Result<Vec<(f64, f64, f64)>, ValidationError> {
-        self.try_raster_jobs((x0, x1), (y0, y1), nx, ny, 1)
-    }
-
-    /// [`TcdpMap::try_raster`] sharded across `jobs` workers; the grid is
-    /// byte-identical to the serial raster for any worker count (every
-    /// point is a pure function of its grid index).
-    #[must_use = "this returns a Result that must be handled"]
-    // ppatc-lint: allow(raw-unit-api) — raster axes are dimensionless scale factors
-    pub fn try_raster_jobs(
-        &self,
-        (x0, x1): (f64, f64),
-        (y0, y1): (f64, f64),
-        nx: usize,
-        ny: usize,
-        jobs: usize,
-    ) -> Result<Vec<(f64, f64, f64)>, ValidationError> {
-        check_raster_window((x0, x1), (y0, y1), nx, ny)?;
-        Ok(crate::eval::par_map_indexed(nx * ny, jobs, |k| {
-            self.raster_point((x0, x1), (y0, y1), nx, ny, k)
-        }))
-    }
-
-    /// [`TcdpMap::try_raster_jobs`] under a [`Supervisor`]: honors the
-    /// supervisor's cancellation token and deadline, isolates worker panics,
-    /// and — when a checkpoint path is configured — journals every finished
-    /// chunk so an interrupted raster resumes byte-identically (each grid
-    /// point is a pure function of its index, and the journal stores exact
-    /// `f64` bit patterns).
+    /// `(x, y, ratio)` triples, row-major in y, across `jobs` workers.
+    ///
+    /// The grid is byte-identical for any worker count (every point is a
+    /// pure function of its grid index). The raster honors `supervisor`'s
+    /// cancellation token and deadline, and — when a checkpoint path is
+    /// configured — journals every finished chunk so an interrupted raster
+    /// resumes byte-identically (the journal stores exact `f64` bit
+    /// patterns).
     ///
     /// # Errors
     ///
-    /// [`PpatcError::Validation`] for a bad window or resolution,
-    /// [`PpatcError::Interrupted`] when the budget stops the run,
-    /// [`PpatcError::WorkerPanic`] if a grid point panics, and
+    /// [`PpatcError::Validation`] for resolutions below 2×2 and empty or
+    /// non-finite ranges, [`PpatcError::Interrupted`] when the budget stops
+    /// the run, [`PpatcError::WorkerPanic`] if a grid point panics, and
     /// [`PpatcError::Checkpoint`] on journal I/O failure or a journal that
     /// was recorded for a different raster.
     #[must_use = "this returns a Result that must be handled"]
     // ppatc-lint: allow(raw-unit-api) — raster axes are dimensionless scale factors
-    pub fn try_raster_supervised(
+    pub fn try_raster(
         &self,
         (x0, x1): (f64, f64),
         (y0, y1): (f64, f64),
@@ -273,14 +242,28 @@ impl TcdpMap {
         check_raster_window((x0, x1), (y0, y1), nx, ny)?;
         let spec = self.raster_spec((x0, x1), (y0, y1), nx, ny);
         let journal = supervisor.try_open_journal(&spec)?;
-        let outcomes = crate::eval::try_par_map_journaled(
+        try_map_indexed(
             nx * ny,
             jobs,
             supervisor.budget(),
-            journal.as_ref(),
+            journal.as_deref(),
             |k| self.raster_point((x0, x1), (y0, y1), nx, ny, k),
-        )?;
-        outcomes.into_iter().collect()
+        )?
+        .try_into_values()
+    }
+
+    /// [`TcdpMap::try_raster`] with a default [`Supervisor`].
+    #[must_use = "this returns a Result that must be handled"]
+    // ppatc-lint: allow(raw-unit-api) — raster axes are dimensionless scale factors
+    pub fn try_raster_jobs(
+        &self,
+        x_range: (f64, f64),
+        y_range: (f64, f64),
+        nx: usize,
+        ny: usize,
+        jobs: usize,
+    ) -> Result<Vec<(f64, f64, f64)>, PpatcError> {
+        self.try_raster(x_range, y_range, nx, ny, jobs, &Supervisor::new())
     }
 
     /// Journal identity of a raster run: the window, the resolution, and
@@ -341,7 +324,7 @@ impl TcdpMap {
         nx: usize,
         ny: usize,
     ) -> Vec<(f64, f64, f64)> {
-        match self.try_raster(x_range, y_range, nx, ny) {
+        match self.try_raster(x_range, y_range, nx, ny, 1, &Supervisor::new()) {
             Ok(grid) => grid,
             Err(e) => panic!("{e}"),
         }
@@ -571,13 +554,13 @@ mod tests {
             .expect_err("infinite CI scale rejected");
         assert_eq!(e.field, "ci_use_scale");
         let e = m
-            .try_raster((0.5, 3.0), (0.25, 1.5), 1, 5)
+            .try_raster((0.5, 3.0), (0.25, 1.5), 1, 5, 1, &Supervisor::new())
             .expect_err("1-wide raster rejected");
-        assert_eq!(e.field, "nx");
+        assert!(matches!(e, PpatcError::Validation(v) if v.field == "nx"));
         let e = m
-            .try_raster((3.0, 0.5), (0.25, 1.5), 6, 5)
+            .try_raster((3.0, 0.5), (0.25, 1.5), 6, 5, 1, &Supervisor::new())
             .expect_err("empty range rejected");
-        assert_eq!(e.field, "x1");
+        assert!(matches!(e, PpatcError::Validation(v) if v.field == "x1"));
     }
 
     #[test]
@@ -597,32 +580,6 @@ mod tests {
             };
             assert_eq!(bits(&serial), bits(&parallel), "jobs = {jobs}");
         }
-    }
-
-    #[test]
-    fn supervised_raster_matches_unsupervised() {
-        let m = map();
-        let plain = m
-            .try_raster_jobs((0.5, 3.0), (0.25, 1.5), 24, 18, 3)
-            .expect("plain raster");
-        let supervised = m
-            .try_raster_supervised((0.5, 3.0), (0.25, 1.5), 24, 18, 3, &Supervisor::new())
-            .expect("supervised raster");
-        let bits = |grid: &[(f64, f64, f64)]| {
-            grid.iter()
-                .map(|(x, y, r)| (x.to_bits(), y.to_bits(), r.to_bits()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(bits(&plain), bits(&supervised));
-    }
-
-    #[test]
-    fn supervised_raster_still_validates_the_window() {
-        let m = map();
-        let e = m
-            .try_raster_supervised((3.0, 0.5), (0.25, 1.5), 6, 5, 1, &Supervisor::new())
-            .expect_err("empty range rejected");
-        assert!(matches!(e, PpatcError::Validation(v) if v.field == "x1"));
     }
 
     #[test]

@@ -22,13 +22,13 @@
 //!   properly *paired*: pinning one source leaves every other source's
 //!   draws untouched, so the variance reduction it measures is exactly the
 //!   pinned source's share;
-//! - sweeps can be sharded across workers ([`try_run_jobs`]) with results
+//! - sweeps can be sharded across workers ([`try_run`]) with results
 //!   byte-identical to the serial run for any worker count.
 //!
 //! # Fault isolation
 //!
 //! A sweep is only as robust as its worst sample: one NaN from a perturbed
-//! model must not abort the other 9 999 samples. [`try_run_with`] therefore
+//! model must not abort the other 9 999 samples. [`try_run`] therefore
 //! evaluates each sample in isolation, classifies failures into a
 //! [`FailureBreakdown`] by cause, and computes the statistics over the
 //! survivors. A configurable [`MonteCarloConfig::failure_budget`] bounds the
@@ -38,16 +38,10 @@
 
 use crate::checkpoint::JournalSpec;
 use crate::error::{check, PpatcError, ValidationError};
-use crate::eval::{RunBudget, Supervisor};
+use crate::eval::{try_map_indexed, Kernel, Outcomes, RunBudget, Supervisor};
 use crate::isoline::TcdpMap;
 use crate::lifetime::Lifetime;
 use ppatc_units::rng::SplitMix64;
-
-/// Samples per [`SampleBatch`] on the serial path — matches the parallel
-/// engine's largest chunk so batch buffers stay cache-sized. Chunk
-/// boundaries are unobservable: batches are bit-identical to per-sample
-/// evaluation regardless of where they split.
-const MC_BATCH: usize = 1024;
 
 /// Joint uncertainty ranges. Scales are sampled log-uniformly (a factor of
 /// 2 up is as likely as a factor of 2 down); lifetimes and yields
@@ -131,7 +125,7 @@ pub struct UncertaintySample {
 ///
 /// Batches exist so the hot Monte-Carlo loop can hoist per-sweep constants
 /// (range spans, log endpoints, embodied masses) out of the per-sample
-/// path while staying bit-identical to the scalar engine: every column is
+/// path while staying bit-identical to per-sample draws: every column is
 /// filled with the same expression trees [`draw_sample`] evaluates.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SampleBatch {
@@ -172,19 +166,6 @@ impl SampleBatch {
             embodied_scale: self.embodied_scale[i],
             eop_scale: self.eop_scale[i],
         }
-    }
-
-    fn clear_and_reserve(&mut self, len: usize) {
-        self.lifetime.clear();
-        self.ci_scale.clear();
-        self.m3d_yield.clear();
-        self.embodied_scale.clear();
-        self.eop_scale.clear();
-        self.lifetime.reserve(len);
-        self.ci_scale.reserve(len);
-        self.m3d_yield.reserve(len);
-        self.embodied_scale.reserve(len);
-        self.eop_scale.reserve(len);
     }
 }
 
@@ -272,10 +253,16 @@ impl SamplePlan {
         }
     }
 
-    /// Fills `out` with samples `start .. start + len`, each drawn from its
-    /// own counter-indexed stream exactly like [`draw_sample`].
-    fn fill(&self, start: u64, len: usize, out: &mut SampleBatch) {
-        out.clear_and_reserve(len);
+    /// Samples `start .. start + len`, each drawn from its own
+    /// counter-indexed stream exactly like [`draw_sample`].
+    fn fill(&self, start: u64, len: usize) -> SampleBatch {
+        let mut out = SampleBatch {
+            lifetime: Vec::with_capacity(len),
+            ci_scale: Vec::with_capacity(len),
+            m3d_yield: Vec::with_capacity(len),
+            embodied_scale: Vec::with_capacity(len),
+            eop_scale: Vec::with_capacity(len),
+        };
         for k in 0..len {
             let rng = &mut SplitMix64::stream(self.seed, start + k as u64);
             out.lifetime
@@ -285,6 +272,7 @@ impl SamplePlan {
             out.embodied_scale.push(self.embodied.draw(rng.next_f64()));
             out.eop_scale.push(self.eop.draw(rng.next_f64()));
         }
+        out
     }
 }
 
@@ -303,10 +291,12 @@ pub trait RatioSource {
     ///
     /// The default forwards to [`RatioSource::tcdp_ratio`] one sample at a
     /// time in ascending order, so sources whose output depends on call
-    /// order behave exactly as under the scalar engine. Overrides may hoist
-    /// per-batch constants but must stay bit-identical to the default —
-    /// the sweep entry points batch at internal chunk boundaries and
-    /// guarantee results byte-identical to the scalar path.
+    /// order see the samples in index order at `jobs = 1`. Overrides may
+    /// hoist per-batch constants but must stay bit-identical to the
+    /// default — [`try_run`] batches at internal chunk boundaries and
+    /// guarantees results byte-identical to per-sample evaluation. It
+    /// re-runs a batch that appends the wrong number of ratios sample by
+    /// sample.
     fn tcdp_ratio_batch(&self, batch: &SampleBatch, ratios: &mut Vec<f64>) {
         for i in 0..batch.len() {
             ratios.push(self.tcdp_ratio(&batch.sample(i)));
@@ -507,8 +497,8 @@ impl core::fmt::Display for MonteCarloResult {
 /// Runs a Monte-Carlo sweep over a [`TcdpMap`]'s underlying designs.
 ///
 /// This is the panicking convenience wrapper around [`try_run`] with a zero
-/// failure budget, kept for call sites whose inputs are statically known to
-/// be valid.
+/// failure budget and one worker, kept for call sites whose inputs are
+/// statically known to be valid.
 ///
 /// # Panics
 ///
@@ -519,26 +509,13 @@ pub fn run(map: &TcdpMap, ranges: &UncertaintyRanges, n: usize, seed: u64) -> Mo
         Ok(c) => c,
         Err(e) => panic!("{e}"),
     };
-    match try_run(map, ranges, &config) {
+    match try_run(map, ranges, &config, 1, &Supervisor::new()) {
         Ok(r) => r,
         Err(e) => panic!("{e}"),
     }
 }
 
-/// Runs a Monte-Carlo sweep over a [`TcdpMap`]'s underlying designs,
-/// isolating per-sample failures.
-#[must_use = "this returns a Result that must be handled"]
-pub fn try_run(
-    map: &TcdpMap,
-    ranges: &UncertaintyRanges,
-    config: &MonteCarloConfig,
-) -> Result<MonteCarloResult, PpatcError> {
-    try_run_with(map, ranges, config)
-}
-
-/// [`try_run`] sharded across `jobs` workers; byte-identical to the serial
-/// run for any worker count (each sample is a pure function of
-/// `(seed, index)` and the reduction sees ratios in index order).
+/// [`try_run`] over a [`TcdpMap`] with a default [`Supervisor`].
 #[must_use = "this returns a Result that must be handled"]
 pub fn try_run_jobs(
     map: &TcdpMap,
@@ -546,86 +523,90 @@ pub fn try_run_jobs(
     config: &MonteCarloConfig,
     jobs: usize,
 ) -> Result<MonteCarloResult, PpatcError> {
-    try_run_with_jobs(map, ranges, config, jobs)
+    try_run(map, ranges, config, jobs, &Supervisor::new())
 }
 
-/// Runs a Monte-Carlo sweep over any [`RatioSource`], isolating per-sample
-/// failures.
+/// Runs a Monte-Carlo sweep over any [`RatioSource`] across `jobs`
+/// workers, isolating per-sample failures.
 ///
-/// Each drawn sample is evaluated independently; samples producing
-/// non-finite or non-positive ratios are recorded in the result's
-/// [`FailureBreakdown`] instead of aborting the sweep. Statistics are
-/// computed over the survivors. Returns
+/// - Each drawn sample is evaluated independently; samples producing
+///   non-finite or non-positive ratios, or panicking, are recorded in the
+///   result's [`FailureBreakdown`] instead of aborting the sweep, and the
+///   statistics are computed over the survivors.
+/// - Samples are evaluated in [`SampleBatch`] chunks through
+///   [`RatioSource::tcdp_ratio_batch`]; a batch that panics or returns the
+///   wrong number of ratios is re-run sample by sample through
+///   [`RatioSource::tcdp_ratio`], so the result always equals the
+///   per-sample sweep.
+/// - The result is byte-identical for any worker count (each sample is a
+///   pure function of `(seed, index)` and the reduction sees ratios in
+///   index order), *provided the source is a pure function of the sample*:
+///   sources whose output depends on call order agree only at `jobs = 1`.
+/// - `supervisor`'s [`RunBudget`](crate::eval::RunBudget) is honored at
+///   chunk boundaries, completed chunks are journaled when a checkpoint
+///   path is configured, and a resumed sweep replays journaled samples
+///   instead of recomputing them.
+///
+/// # Errors
+///
+/// [`PpatcError::Validation`] for invalid ranges,
 /// [`PpatcError::FailureBudgetExceeded`] when the failed fraction exceeds
-/// [`MonteCarloConfig::failure_budget`], or
-/// [`PpatcError::NoSurvivingSamples`] when the budget tolerates the
-/// failures but every sample failed.
+/// [`MonteCarloConfig::failure_budget`], [`PpatcError::NoSurvivingSamples`]
+/// when the budget tolerates the failures but every sample failed,
+/// [`PpatcError::Interrupted`] when the budget stops the sweep (completed
+/// samples are journaled first, so `--resume` continues where it stopped),
+/// and [`PpatcError::Checkpoint`] for journal I/O or identity mismatches.
 #[must_use = "this returns a Result that must be handled"]
-pub fn try_run_with(
-    source: &dyn RatioSource,
+pub fn try_run(
+    source: &(dyn RatioSource + Sync),
     ranges: &UncertaintyRanges,
     config: &MonteCarloConfig,
+    jobs: usize,
+    supervisor: &Supervisor,
 ) -> Result<MonteCarloResult, PpatcError> {
     ranges.validate()?;
-    let n = config.samples;
+    let journal = supervisor.try_open_journal(&journal_spec(config, ranges))?;
     let before = ppatc_spice::recovery_counters();
-    let plan = SamplePlan::new(config.seed, ranges);
-    let mut ratios: Vec<f64> = Vec::with_capacity(n);
-    let mut batch = SampleBatch::default();
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + MC_BATCH).min(n);
-        plan.fill(start as u64, end - start, &mut batch);
-        source.tcdp_ratio_batch(&batch, &mut ratios);
-        start = end;
+    let outcomes = try_map_indexed(
+        config.samples,
+        jobs,
+        supervisor.budget(),
+        journal.as_deref(),
+        Sweep::new(source, ranges, config.seed),
+    )?;
+    summarize(outcomes, config, pressure_since(before))
+}
+
+/// One sweep as an engine kernel: item `i` is sample `i`'s ratio, and a
+/// batch fills a [`SampleBatch`] once for the whole chunk.
+struct Sweep<'a> {
+    source: &'a (dyn RatioSource + Sync),
+    ranges: &'a UncertaintyRanges,
+    plan: SamplePlan,
+}
+
+impl<'a> Sweep<'a> {
+    fn new(source: &'a (dyn RatioSource + Sync), ranges: &'a UncertaintyRanges, seed: u64) -> Self {
+        Self {
+            source,
+            ranges,
+            plan: SamplePlan::new(seed, ranges),
+        }
     }
-    summarize(ratios, config, pressure_since(before))
 }
 
-/// The exact scalar per-sample path — [`draw_sample`] plus one
-/// [`RatioSource::tcdp_ratio`] call per index — kept as the bit-identity
-/// oracle for the batched engine: every batched entry point must agree
-/// with this byte-for-byte for any worker count.
-#[must_use = "this returns a Result that must be handled"]
-pub fn try_run_scalar(
-    source: &(dyn RatioSource + Sync),
-    ranges: &UncertaintyRanges,
-    config: &MonteCarloConfig,
-    jobs: usize,
-) -> Result<MonteCarloResult, PpatcError> {
-    ranges.validate()?;
-    let n = config.samples;
-    let before = ppatc_spice::recovery_counters();
-    let ratios = crate::eval::par_map_indexed(n, jobs, |i| {
-        source.tcdp_ratio(&draw_sample(config.seed, i as u64, ranges))
-    });
-    summarize(ratios, config, pressure_since(before))
-}
+impl Kernel for Sweep<'_> {
+    type Item = f64;
 
-/// [`try_run_with`] sharded across `jobs` workers. Requires a thread-safe
-/// source; results are byte-identical to [`try_run_with`] for any worker
-/// count *provided the source is a pure function of the sample* (sources
-/// whose output depends on call order — e.g. call-counting fault
-/// injectors — should use the serial entry point).
-#[must_use = "this returns a Result that must be handled"]
-pub fn try_run_with_jobs(
-    source: &(dyn RatioSource + Sync),
-    ranges: &UncertaintyRanges,
-    config: &MonteCarloConfig,
-    jobs: usize,
-) -> Result<MonteCarloResult, PpatcError> {
-    ranges.validate()?;
-    let n = config.samples;
-    let before = ppatc_spice::recovery_counters();
-    let plan = SamplePlan::new(config.seed, ranges);
-    let ratios = crate::eval::par_map_indexed_batched(n, jobs, |start, end| {
-        let mut batch = SampleBatch::default();
-        plan.fill(start as u64, end - start, &mut batch);
-        let mut out = Vec::with_capacity(end - start);
-        source.tcdp_ratio_batch(&batch, &mut out);
-        out
-    });
-    summarize(ratios, config, pressure_since(before))
+    fn item(&self, i: usize) -> f64 {
+        self.source
+            .tcdp_ratio(&draw_sample(self.plan.seed, i as u64, self.ranges))
+    }
+
+    fn batch(&self, start: usize, end: usize, out: &mut Vec<f64>) {
+        let batch = self.plan.fill(start as u64, end - start);
+        self.source.tcdp_ratio_batch(&batch, out);
+    }
 }
 
 /// The checkpoint-journal identity of one sweep: seed and every range bound
@@ -650,95 +631,33 @@ fn journal_spec(config: &MonteCarloConfig, r: &UncertaintyRanges) -> JournalSpec
     JournalSpec::for_run::<f64>("montecarlo", config.samples, &params)
 }
 
-/// Supervised [`try_run_with_jobs`]: the sweep honors `supervisor`'s
-/// [`RunBudget`] at chunk boundaries, journals completed chunks when a
-/// checkpoint path is configured, isolates panicking samples as
-/// [`FailureBreakdown::worker_panic`] entries that count against the
-/// failure budget, and — when resuming — replays journaled samples instead
-/// of recomputing them.
-///
-/// With a default [`Supervisor`] this is byte-identical to
-/// [`try_run_with_jobs`] for any worker count (modulo the engine's
-/// panic-isolation wrapper, which is unobservable for panic-free sources).
-///
-/// # Errors
-///
-/// Everything [`try_run_with_jobs`] can return, plus
-/// [`PpatcError::Interrupted`] (cancelled or past deadline; completed
-/// samples are journaled first, so `--resume` continues where it stopped)
-/// and [`PpatcError::Checkpoint`] for journal I/O or identity mismatches.
-#[must_use = "this returns a Result that must be handled"]
-pub fn try_run_supervised(
-    source: &(dyn RatioSource + Sync),
-    ranges: &UncertaintyRanges,
-    config: &MonteCarloConfig,
-    jobs: usize,
-    supervisor: &Supervisor,
-) -> Result<MonteCarloResult, PpatcError> {
-    ranges.validate()?;
-    let n = config.samples;
-    let spec = journal_spec(config, ranges);
-    let journal = supervisor.try_open_journal(&spec)?;
-    let before = ppatc_spice::recovery_counters();
-    let plan = SamplePlan::new(config.seed, ranges);
-    let outcomes = crate::eval::try_par_map_journaled_batched(
-        n,
-        jobs,
-        supervisor.budget(),
-        journal.as_ref(),
-        // The per-item path: resume replay chunks and batches that panic
-        // fall back to this, pinning a panicking sample to its exact index.
-        |i| source.tcdp_ratio(&draw_sample(config.seed, i as u64, ranges)),
-        |start, end| {
-            let mut batch = SampleBatch::default();
-            plan.fill(start as u64, end - start, &mut batch);
-            let mut out = Vec::with_capacity(end - start);
-            source.tcdp_ratio_batch(&batch, &mut out);
-            out
-        },
-    )?;
-    summarize_outcomes(outcomes, config, pressure_since(before))
-}
-
-/// The serial reduction shared by the unsupervised sweep entry points.
+/// The sweep's reduction: classifies the per-sample outcomes (a panicked
+/// sample counts as one more discarded sample), applies the failure
+/// budget, and computes survivor statistics with linearly interpolated
+/// quantiles. Survivor order does not matter: the win count is a count and
+/// the quantiles are order statistics.
 fn summarize(
-    ratios: Vec<f64>,
+    outcomes: Outcomes<f64>,
     config: &MonteCarloConfig,
     recovery: SolverRecoveryPressure,
 ) -> Result<MonteCarloResult, PpatcError> {
-    summarize_outcomes(ratios.into_iter().map(Ok).collect(), config, recovery)
-}
-
-/// The serial reduction shared by every sweep entry point: classifies the
-/// index-ordered per-sample outcomes (a panicked sample counts as one more
-/// discarded sample), applies the failure budget, and computes survivor
-/// statistics with linearly interpolated quantiles.
-fn summarize_outcomes(
-    outcomes: Vec<Result<f64, PpatcError>>,
-    config: &MonteCarloConfig,
-    recovery: SolverRecoveryPressure,
-) -> Result<MonteCarloResult, PpatcError> {
-    let n = outcomes.len();
-    let mut survivors = Vec::with_capacity(n);
-    let mut failures = FailureBreakdown::default();
+    let n = config.samples;
+    let mut failures = FailureBreakdown {
+        worker_panic: outcomes.panicked.len(),
+        ..FailureBreakdown::default()
+    };
     let mut wins = 0usize;
-    for outcome in outcomes {
-        let r = match outcome {
-            Ok(r) => r,
-            Err(_) => {
-                failures.worker_panic += 1;
-                continue;
-            }
-        };
+    let mut survivors = outcomes.values;
+    survivors.retain(|&r| {
         if !r.is_finite() || r <= 0.0 {
             failures.record(r);
-            continue;
+            return false;
         }
         if r < 1.0 {
             wins += 1;
         }
-        survivors.push(r);
-    }
+        true
+    });
     let failed = failures.total();
     if failed as f64 / n as f64 > config.failure_budget {
         return Err(PpatcError::FailureBudgetExceeded {
@@ -833,59 +752,31 @@ pub fn sensitivity(
     n: usize,
     seed: u64,
 ) -> Vec<(&'static str, f64)> {
-    match try_sensitivity(map, ranges, n, seed) {
+    match try_sensitivity(map, ranges, n, seed, 1, &RunBudget::unlimited()) {
         Ok(v) => v,
         Err(e) => panic!("{e}"),
     }
 }
 
-/// Variance-based sensitivity (see [`sensitivity`]), returning structured
-/// errors for invalid inputs. Non-finite sample ratios are skipped in the
-/// variance estimates.
-#[must_use = "this returns a Result that must be handled"]
-pub fn try_sensitivity(
-    map: &TcdpMap,
-    ranges: &UncertaintyRanges,
-    n: usize,
-    seed: u64,
-) -> Result<Vec<(&'static str, f64)>, PpatcError> {
-    try_sensitivity_jobs(map, ranges, n, seed, 1)
-}
-
-/// [`try_sensitivity`] sharded across `jobs` workers; byte-identical to the
-/// serial run for any worker count.
+/// Variance-based sensitivity (see [`sensitivity`]) across `jobs`
+/// workers under `budget`, byte-identical for any worker count.
 ///
 /// Because every sample is a pure function of `(seed, index)` and every
 /// source always consumes exactly one draw, the frozen variants are
 /// *paired* with the base sweep: sample *i* of a frozen variant differs
-/// from base sample *i* only in the pinned source.
-#[must_use = "this returns a Result that must be handled"]
-pub fn try_sensitivity_jobs(
-    map: &TcdpMap,
-    ranges: &UncertaintyRanges,
-    n: usize,
-    seed: u64,
-    jobs: usize,
-) -> Result<Vec<(&'static str, f64)>, PpatcError> {
-    try_sensitivity_supervised(map, ranges, n, seed, jobs, &RunBudget::unlimited())
-}
-
-/// [`try_sensitivity_jobs`] under a [`RunBudget`]: the base sweep and every
-/// frozen variant poll `budget` at chunk boundaries, so a cancellation or
-/// deadline stops the whole analysis with [`PpatcError::Interrupted`].
-///
-/// Sensitivity sweeps are not checkpointed: the six constituent sweeps are
-/// an order of magnitude cheaper than the headline Monte-Carlo run, and a
-/// variance share is not a per-index value a journal could resume.
-/// Panicking samples are skipped in the variance estimates exactly like
-/// non-finite ratios.
+/// from base sample *i* only in the pinned source. The base sweep and every
+/// frozen variant poll `budget` at chunk boundaries. Sensitivity sweeps are
+/// not checkpointed: the six constituent sweeps are an order of magnitude
+/// cheaper than the headline Monte-Carlo run, and a variance share is not a
+/// per-index value a journal could resume. Non-finite and panicking
+/// samples are skipped in the variance estimates.
 ///
 /// # Errors
 ///
-/// Everything [`try_sensitivity_jobs`] can return, plus
+/// [`PpatcError::Validation`] for a zero sample count or invalid ranges,
 /// [`PpatcError::Interrupted`] when the budget stops a constituent sweep.
 #[must_use = "this returns a Result that must be handled"]
-pub fn try_sensitivity_supervised(
+pub fn try_sensitivity(
     map: &TcdpMap,
     ranges: &UncertaintyRanges,
     n: usize,
@@ -898,13 +789,12 @@ pub fn try_sensitivity_supervised(
     }
     ranges.validate()?;
     let variance_of = |ranges: &UncertaintyRanges, seed: u64| -> Result<f64, PpatcError> {
-        let ratios: Vec<f64> = crate::eval::try_par_map_indexed(n, jobs, budget, |i| {
-            map.ratio_sampled(&draw_sample(seed, i as u64, ranges))
-        })?
-        .into_iter()
-        .filter_map(Result::ok)
-        .filter(|r| r.is_finite())
-        .collect();
+        let ratios: Vec<f64> =
+            try_map_indexed(n, jobs, budget, None, Sweep::new(map, ranges, seed))?
+                .values
+                .into_iter()
+                .filter(|r| r.is_finite())
+                .collect();
         if ratios.is_empty() {
             return Ok(0.0);
         }
@@ -1017,6 +907,8 @@ mod tests {
     use crate::usage::UsagePattern;
     use crate::CarbonTrajectory;
     use ppatc_units::{CarbonMass, Power, Time};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     fn map() -> TcdpMap {
         let exec = Time::from_seconds(0.04);
@@ -1172,7 +1064,7 @@ mod tests {
         let mut bad = UncertaintyRanges::paper_default();
         bad.m3d_yield = (0.5, 1.7);
         let config = MonteCarloConfig::new(100, 1).expect("valid config");
-        match try_run(&map(), &bad, &config) {
+        match try_run(&map(), &bad, &config, 1, &Supervisor::new()) {
             Err(PpatcError::Validation(v)) => {
                 assert_eq!(v.field, "m3d_yield");
                 assert_eq!(v.value, 1.7);
@@ -1182,7 +1074,7 @@ mod tests {
         let mut nan = UncertaintyRanges::paper_default();
         nan.ci_use_scale.0 = f64::NAN;
         assert!(matches!(
-            try_run(&map(), &nan, &config),
+            try_run(&map(), &nan, &config, 1, &Supervisor::new()),
             Err(PpatcError::Validation(_))
         ));
     }
@@ -1196,12 +1088,12 @@ mod tests {
     /// A source that records every sample it is asked to evaluate.
     struct RecordingSource {
         inner: TcdpMap,
-        seen: core::cell::RefCell<Vec<UncertaintySample>>,
+        seen: Mutex<Vec<UncertaintySample>>,
     }
 
     impl RatioSource for RecordingSource {
         fn tcdp_ratio(&self, sample: &UncertaintySample) -> f64 {
-            self.seen.borrow_mut().push(*sample);
+            self.seen.lock().expect("unpoisoned").push(*sample);
             self.inner.ratio_sampled(sample)
         }
     }
@@ -1216,11 +1108,11 @@ mod tests {
         let record = |n: usize| {
             let source = RecordingSource {
                 inner: map(),
-                seen: core::cell::RefCell::new(Vec::new()),
+                seen: Mutex::new(Vec::new()),
             };
             let config = MonteCarloConfig::new(n, 12345).expect("valid config");
-            let _ = try_run_with(&source, &ranges, &config).expect("sweep runs");
-            source.seen.into_inner()
+            let _ = try_run(&source, &ranges, &config, 1, &Supervisor::new()).expect("sweep runs");
+            source.seen.into_inner().expect("unpoisoned")
         };
         let small = record(100);
         let large = record(10_000);
@@ -1259,13 +1151,12 @@ mod tests {
     /// A source that replays a fixed ratio sequence in call order.
     struct SequenceSource {
         values: Vec<f64>,
-        calls: core::cell::Cell<usize>,
+        calls: AtomicUsize,
     }
 
     impl RatioSource for SequenceSource {
         fn tcdp_ratio(&self, _: &UncertaintySample) -> f64 {
-            let i = self.calls.get();
-            self.calls.set(i + 1);
+            let i = self.calls.fetch_add(1, Ordering::Relaxed);
             self.values[i % self.values.len()]
         }
     }
@@ -1277,11 +1168,17 @@ mod tests {
         // estimator gives rank p·9: p05 → 1.45, p50 → 5.5, p95 → 9.55.
         let source = SequenceSource {
             values: vec![10.0, 1.0, 9.0, 2.0, 8.0, 3.0, 7.0, 4.0, 6.0, 5.0],
-            calls: core::cell::Cell::new(0),
+            calls: AtomicUsize::new(0),
         };
         let config = MonteCarloConfig::new(10, 1).expect("valid config");
-        let r = try_run_with(&source, &UncertaintyRanges::paper_default(), &config)
-            .expect("all samples survive");
+        let r = try_run(
+            &source,
+            &UncertaintyRanges::paper_default(),
+            &config,
+            1,
+            &Supervisor::new(),
+        )
+        .expect("all samples survive");
         let (q05, q50, q95) = r.ratio_quantiles;
         assert!((q05 - 1.45).abs() < 1e-12, "q05 = {q05}");
         assert!((q50 - 5.5).abs() < 1e-12, "q50 = {q50}");
@@ -1303,13 +1200,13 @@ mod tests {
             .expect("valid")
             .with_failure_budget(1.0)
             .expect("valid budget");
-        match try_run_with(&AlwaysNan, &ranges, &tolerant) {
+        match try_run(&AlwaysNan, &ranges, &tolerant, 1, &Supervisor::new()) {
             Err(PpatcError::NoSurvivingSamples { samples }) => assert_eq!(samples, 40),
             other => panic!("expected NoSurvivingSamples, got {other:?}"),
         }
         // With a zero budget, the budget violation is the primary cause.
         let strict = MonteCarloConfig::new(40, 1).expect("valid");
-        match try_run_with(&AlwaysNan, &ranges, &strict) {
+        match try_run(&AlwaysNan, &ranges, &strict, 1, &Supervisor::new()) {
             Err(PpatcError::FailureBudgetExceeded {
                 failed, samples, ..
             }) => {
@@ -1324,8 +1221,7 @@ mod tests {
     fn batch_fill_matches_draw_sample_exactly() {
         let ranges = UncertaintyRanges::paper_default();
         let plan = SamplePlan::new(2025, &ranges);
-        let mut batch = SampleBatch::default();
-        plan.fill(300, 64, &mut batch);
+        let batch = plan.fill(300, 64);
         assert_eq!(batch.len(), 64);
         for k in 0..64 {
             let scalar = draw_sample(2025, 300 + k as u64, &ranges);
@@ -1349,33 +1245,10 @@ mod tests {
             ..ranges
         };
         let plan = SamplePlan::new(7, &tight);
-        plan.fill(0, 8, &mut batch);
+        let batch = plan.fill(0, 8);
         for k in 0..8 {
             assert_eq!(batch.sample(k), draw_sample(7, k as u64, &tight));
         }
-    }
-
-    #[test]
-    fn batched_sweep_is_bit_identical_to_the_scalar_oracle() {
-        let m = map();
-        let ranges = UncertaintyRanges::paper_default();
-        let config = MonteCarloConfig::new(5000, 2025).expect("valid config");
-        let oracle = try_run_scalar(&m, &ranges, &config, 1).expect("scalar oracle");
-        let bits = |q: (f64, f64, f64)| (q.0.to_bits(), q.1.to_bits(), q.2.to_bits());
-        for jobs in [1, 2, 4, 8] {
-            let batched = try_run_jobs(&m, &ranges, &config, jobs).expect("batched sweep");
-            assert_eq!(batched, oracle, "jobs = {jobs}");
-            assert_eq!(
-                bits(batched.ratio_quantiles),
-                bits(oracle.ratio_quantiles),
-                "jobs = {jobs}"
-            );
-            let supervised = try_run_supervised(&m, &ranges, &config, jobs, &Supervisor::new())
-                .expect("supervised sweep");
-            assert_eq!(supervised, oracle, "supervised, jobs = {jobs}");
-        }
-        let serial = try_run(&m, &ranges, &config).expect("serial batched sweep");
-        assert_eq!(serial, oracle);
     }
 
     #[test]
@@ -1400,13 +1273,12 @@ mod tests {
     struct FlakySource {
         inner: TcdpMap,
         every: usize,
-        calls: core::cell::Cell<usize>,
+        calls: AtomicUsize,
     }
 
     impl RatioSource for FlakySource {
         fn tcdp_ratio(&self, sample: &UncertaintySample) -> f64 {
-            let n = self.calls.get();
-            self.calls.set(n + 1);
+            let n = self.calls.fetch_add(1, Ordering::Relaxed);
             if n % self.every == 0 {
                 f64::NAN
             } else {
@@ -1420,14 +1292,20 @@ mod tests {
         let flaky = FlakySource {
             inner: map(),
             every: 10,
-            calls: core::cell::Cell::new(0),
+            calls: AtomicUsize::new(0),
         };
         let config = MonteCarloConfig::new(1000, 7)
             .expect("valid")
             .with_failure_budget(0.2)
             .expect("valid budget");
-        let r = try_run_with(&flaky, &UncertaintyRanges::paper_default(), &config)
-            .expect("within budget");
+        let r = try_run(
+            &flaky,
+            &UncertaintyRanges::paper_default(),
+            &config,
+            1,
+            &Supervisor::new(),
+        )
+        .expect("within budget");
         assert_eq!(r.failures.non_finite_ratio, 100);
         assert_eq!(r.evaluated, 900);
         assert_eq!(r.samples, 1000);
@@ -1441,13 +1319,19 @@ mod tests {
         let flaky = FlakySource {
             inner: map(),
             every: 2,
-            calls: core::cell::Cell::new(0),
+            calls: AtomicUsize::new(0),
         };
         let config = MonteCarloConfig::new(1000, 7)
             .expect("valid")
             .with_failure_budget(0.2)
             .expect("valid budget");
-        match try_run_with(&flaky, &UncertaintyRanges::paper_default(), &config) {
+        match try_run(
+            &flaky,
+            &UncertaintyRanges::paper_default(),
+            &config,
+            1,
+            &Supervisor::new(),
+        ) {
             Err(PpatcError::FailureBudgetExceeded {
                 failed,
                 samples,
@@ -1467,14 +1351,20 @@ mod tests {
         // lone survivor.
         let source = SequenceSource {
             values: vec![f64::NAN, 5.0, f64::NAN],
-            calls: core::cell::Cell::new(0),
+            calls: AtomicUsize::new(0),
         };
         let config = MonteCarloConfig::new(3, 1)
             .expect("valid")
             .with_failure_budget(1.0)
             .expect("valid budget");
-        let r = try_run_with(&source, &UncertaintyRanges::paper_default(), &config)
-            .expect("one survivor is enough for statistics");
+        let r = try_run(
+            &source,
+            &UncertaintyRanges::paper_default(),
+            &config,
+            1,
+            &Supervisor::new(),
+        )
+        .expect("one survivor is enough for statistics");
         assert_eq!(r.evaluated, 1);
         assert_eq!(r.failures.non_finite_ratio, 2);
         assert_eq!(r.ratio_quantiles, (5.0, 5.0, 5.0));
@@ -1486,14 +1376,20 @@ mod tests {
         // survivors (sorted [1, 2]) at 1.05 / 1.5 / 1.95.
         let source = SequenceSource {
             values: vec![2.0, f64::NAN, 1.0],
-            calls: core::cell::Cell::new(0),
+            calls: AtomicUsize::new(0),
         };
         let config = MonteCarloConfig::new(3, 1)
             .expect("valid")
             .with_failure_budget(1.0)
             .expect("valid budget");
-        let r = try_run_with(&source, &UncertaintyRanges::paper_default(), &config)
-            .expect("two survivors");
+        let r = try_run(
+            &source,
+            &UncertaintyRanges::paper_default(),
+            &config,
+            1,
+            &Supervisor::new(),
+        )
+        .expect("two survivors");
         assert_eq!(r.evaluated, 2);
         let (q05, q50, q95) = r.ratio_quantiles;
         assert!((q05 - 1.05).abs() < 1e-12, "q05 = {q05}");
@@ -1514,11 +1410,11 @@ mod tests {
             .expect("valid")
             .with_failure_budget(1.0)
             .expect("valid budget");
-        let reference =
-            try_run_with_jobs(&AlwaysNan, &ranges, &config, 1).expect_err("nothing survives");
+        let reference = try_run(&AlwaysNan, &ranges, &config, 1, &Supervisor::new())
+            .expect_err("nothing survives");
         assert_eq!(reference, PpatcError::NoSurvivingSamples { samples: 64 });
         for jobs in [2, 8] {
-            let err = try_run_with_jobs(&AlwaysNan, &ranges, &config, jobs)
+            let err = try_run(&AlwaysNan, &ranges, &config, jobs, &Supervisor::new())
                 .expect_err("nothing survives");
             assert_eq!(err, reference, "jobs = {jobs}");
         }
@@ -1553,7 +1449,7 @@ mod tests {
             .expect("valid")
             .with_failure_budget(0.25)
             .expect("valid budget");
-        let r = try_run_supervised(&source, &ranges, &config, 8, &Supervisor::new())
+        let r = try_run(&source, &ranges, &config, 8, &Supervisor::new())
             .expect("panics stay within the budget");
         assert!(
             r.failures.worker_panic > 0,
@@ -1563,8 +1459,8 @@ mod tests {
         assert_eq!(r.evaluated + r.failures.total(), r.samples);
         assert!(r.to_string().contains("panicked"), "{r}");
         // The same sweep with jobs = 1 classifies the same samples.
-        let serial = try_run_supervised(&source, &ranges, &config, 1, &Supervisor::new())
-            .expect("serial run agrees");
+        let serial =
+            try_run(&source, &ranges, &config, 1, &Supervisor::new()).expect("serial run agrees");
         assert_eq!(serial, r);
     }
 
@@ -1576,7 +1472,7 @@ mod tests {
         };
         let ranges = UncertaintyRanges::paper_default();
         let config = MonteCarloConfig::new(1000, 17).expect("valid");
-        match try_run_supervised(&source, &ranges, &config, 4, &Supervisor::new()) {
+        match try_run(&source, &ranges, &config, 4, &Supervisor::new()) {
             Err(PpatcError::FailureBudgetExceeded {
                 failed, samples, ..
             }) => {
@@ -1585,17 +1481,6 @@ mod tests {
             }
             other => panic!("expected FailureBudgetExceeded, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn supervised_with_default_supervisor_matches_unsupervised() {
-        let m = map();
-        let ranges = UncertaintyRanges::paper_default();
-        let config = MonteCarloConfig::new(2000, 99).expect("valid");
-        let unsupervised = try_run_jobs(&m, &ranges, &config, 4).expect("unsupervised");
-        let supervised =
-            try_run_supervised(&m, &ranges, &config, 4, &Supervisor::new()).expect("supervised");
-        assert_eq!(unsupervised, supervised);
     }
 
     #[test]
@@ -1623,14 +1508,20 @@ mod tests {
         let flaky = FlakySource {
             inner: map(),
             every: 3,
-            calls: core::cell::Cell::new(0),
+            calls: AtomicUsize::new(0),
         };
         let config = MonteCarloConfig::new(900, 11)
             .expect("valid")
             .with_failure_budget(0.5)
             .expect("valid budget");
-        let r = try_run_with(&flaky, &UncertaintyRanges::paper_default(), &config)
-            .expect("within budget");
+        let r = try_run(
+            &flaky,
+            &UncertaintyRanges::paper_default(),
+            &config,
+            1,
+            &Supervisor::new(),
+        )
+        .expect("within budget");
         assert_eq!(r.evaluated + r.failures.total(), r.samples);
         assert!((0.0..=1.0).contains(&r.p_m3d_wins));
     }

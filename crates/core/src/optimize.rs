@@ -27,6 +27,7 @@
 
 use crate::embodied::EmbodiedPipeline;
 use crate::error::PpatcError;
+use crate::eval::{try_map_indexed, RunBudget};
 use crate::lifetime::Lifetime;
 use crate::system::SystemDesign;
 use crate::usage::UsagePattern;
@@ -191,30 +192,26 @@ impl Optimizer {
     /// Evaluates every candidate that can be designed at all (logic and
     /// memory close timing), ranking feasible candidates first, each group
     /// by ascending tCDP.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a candidate evaluation panics; [`Optimizer::try_run`] is
+    /// the fallible, parallel form.
     pub fn run(&self, workload: &WorkloadRun) -> Vec<Candidate> {
-        self.run_jobs(workload, 1)
+        match self.try_run(workload, 1, &RunBudget::unlimited()) {
+            Ok(ranked) => ranked,
+            Err(e) => panic!("{e}"),
+        }
     }
 
     /// [`Optimizer::run`] with candidate evaluation sharded across `jobs`
-    /// workers. The ranking is byte-identical to the serial run for any
-    /// worker count: candidates are evaluated at fixed enumeration indices
-    /// and merged back into enumeration order before the (stable) sort.
+    /// workers under `budget` (cancellation and deadline are checked at
+    /// chunk boundaries). The ranking is byte-identical for any worker
+    /// count: candidates are evaluated at fixed enumeration indices and
+    /// merged back into enumeration order before the (stable) sort.
     /// Repeated eDRAM characterizations across candidates sharing a
     /// `(technology, organization)` pair are served from
     /// [`ppatc_edram::EdramMacro`]'s memo cache.
-    pub fn run_jobs(&self, workload: &WorkloadRun, jobs: usize) -> Vec<Candidate> {
-        let points = self.enumerate_points();
-        let evaluated = crate::eval::par_map_indexed(points.len(), jobs, |k| {
-            let (tech, flavor, f_clk) = points[k];
-            self.evaluate_candidate(tech, flavor, f_clk, workload)
-        });
-        Self::rank(evaluated.into_iter().flatten().collect())
-    }
-
-    /// [`Optimizer::run_jobs`] under a [`crate::eval::RunBudget`]: the sweep
-    /// honors a cancellation token and deadline (checked at chunk
-    /// boundaries) and isolates worker panics. A completed run is
-    /// byte-identical to [`Optimizer::run_jobs`] for any worker count.
     ///
     /// # Errors
     ///
@@ -223,24 +220,19 @@ impl Optimizer {
     /// partial design-space ranking would silently misreport the optimum,
     /// so unlike Monte-Carlo sampling no failure budget applies here.
     #[must_use = "this returns a Result that must be handled"]
-    pub fn try_run_supervised(
+    pub fn try_run(
         &self,
         workload: &WorkloadRun,
         jobs: usize,
-        budget: &crate::eval::RunBudget,
+        budget: &RunBudget,
     ) -> Result<Vec<Candidate>, PpatcError> {
         let points = self.enumerate_points();
-        let evaluated = crate::eval::try_par_map_indexed(points.len(), jobs, budget, |k| {
+        let evaluated = try_map_indexed(points.len(), jobs, budget, None, |k| {
             let (tech, flavor, f_clk) = points[k];
             self.evaluate_candidate(tech, flavor, f_clk, workload)
-        })?;
-        let mut out = Vec::with_capacity(evaluated.len());
-        for candidate in evaluated {
-            if let Some(c) = candidate? {
-                out.push(c);
-            }
-        }
-        Ok(Self::rank(out))
+        })?
+        .try_into_values()?;
+        Ok(Self::rank(evaluated.into_iter().flatten().collect()))
     }
 
     /// Enumerates the candidate grid in the fixed
@@ -308,18 +300,11 @@ impl Optimizer {
         })
     }
 
-    /// The Pareto front over (execution time, tCDP) among feasible
-    /// candidates: no returned design is beaten on both axes by another.
-    pub fn pareto_front(&self, workload: &WorkloadRun) -> Vec<Candidate> {
-        self.pareto_front_jobs(workload, 1)
-    }
-
-    /// [`Optimizer::pareto_front`] with candidate evaluation sharded across
-    /// `jobs` workers; byte-identical to the serial front for any worker
-    /// count.
-    pub fn pareto_front_jobs(&self, workload: &WorkloadRun, jobs: usize) -> Vec<Candidate> {
-        let all = self.run_jobs(workload, jobs);
-        let feasible: Vec<&Candidate> = all.iter().filter(|c| c.feasible).collect();
+    /// The Pareto front over (execution time, tCDP) among the feasible
+    /// `candidates` (typically a [`Optimizer::try_run`] ranking): no
+    /// returned design is beaten on both axes by another.
+    pub fn pareto_front(candidates: &[Candidate]) -> Vec<Candidate> {
+        let feasible: Vec<&Candidate> = candidates.iter().filter(|c| c.feasible).collect();
         let mut front: Vec<Candidate> = Vec::new();
         for c in &feasible {
             let dominated = feasible.iter().any(|o| {
@@ -427,7 +412,7 @@ mod tests {
     #[test]
     fn pareto_front_is_nondominated_and_sorted() {
         let opt = Optimizer::new(DesignSpace::paper_default(), Lifetime::months(24.0));
-        let front = opt.pareto_front(run());
+        let front = Optimizer::pareto_front(&opt.run(run()));
         assert!(!front.is_empty());
         for pair in front.windows(2) {
             assert!(pair[0].execution_time < pair[1].execution_time);
@@ -437,23 +422,13 @@ mod tests {
     }
 
     #[test]
-    fn supervised_run_matches_unsupervised() {
-        let opt = Optimizer::new(small_space(), Lifetime::months(24.0));
-        let plain = opt.run_jobs(run(), 2);
-        let supervised = opt
-            .try_run_supervised(run(), 2, &crate::eval::RunBudget::unlimited())
-            .expect("unlimited budget completes");
-        assert_eq!(plain, supervised);
-    }
-
-    #[test]
     fn cancelled_sweep_reports_an_interrupt() {
         let token = crate::eval::CancelToken::new();
         token.cancel();
-        let budget = crate::eval::RunBudget::unlimited().with_cancel(&token);
+        let budget = RunBudget::unlimited().with_cancel(&token);
         let opt = Optimizer::new(small_space(), Lifetime::months(24.0));
         let e = opt
-            .try_run_supervised(run(), 2, &budget)
+            .try_run(run(), 2, &budget)
             .expect_err("pre-cancelled sweep stops");
         assert!(matches!(
             e,

@@ -567,7 +567,7 @@ pub fn try_evaluate(query: &Query, budget: &RunBudget) -> Result<String, PpatcEr
             // jobs = 1: the worker pool is the server's parallelism; the
             // engine still guarantees byte-identical reductions.
             let supervisor = Supervisor::new().with_budget(budget.clone());
-            let result = montecarlo::try_run_supervised(
+            let result = montecarlo::try_run(
                 &map,
                 &UncertaintyRanges::paper_default(),
                 &config,

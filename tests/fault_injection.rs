@@ -7,15 +7,16 @@
 //! per-sample faults in a Monte-Carlo sweep are isolated and counted
 //! rather than aborting the sweep.
 
-use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
+use ppatc::eval::try_map_indexed;
 use ppatc::montecarlo::{
     self, MonteCarloConfig, RatioSource, UncertaintyRanges, UncertaintySample,
 };
 use ppatc::{
-    CarbonTrajectory, EmbodiedPipeline, Lifetime, PpatcError, SystemDesign, TcdpMap, Technology,
-    UsagePattern,
+    CarbonTrajectory, EmbodiedPipeline, Lifetime, PpatcError, Supervisor, SystemDesign, TcdpMap,
+    Technology, UsagePattern,
 };
 use ppatc_device::{si, DeviceError, SiVtFlavor};
 use ppatc_spice::{Circuit, DcOptions, RecoveryStage, SpiceError, Waveform};
@@ -146,33 +147,33 @@ fn inverted_and_nan_ranges_are_structured_errors() {
     let mut inverted = UncertaintyRanges::paper_default();
     inverted.lifetime_months = (36.0, 12.0);
     let err = no_panic("try_run with inverted range", || {
-        montecarlo::try_run(&map, &inverted, &config)
+        montecarlo::try_run(&map, &inverted, &config, 1, &Supervisor::new())
     })
     .expect_err("inverted range must be rejected");
     assert!(matches!(err, PpatcError::Validation(_)), "{err}");
 
     let mut nan_hi = UncertaintyRanges::paper_default();
     nan_hi.ci_use_scale = (0.5, f64::NAN);
-    assert!(montecarlo::try_run(&map, &nan_hi, &config).is_err());
+    assert!(montecarlo::try_run(&map, &nan_hi, &config, 1, &Supervisor::new()).is_err());
 
     let mut wild_yield = UncertaintyRanges::paper_default();
     wild_yield.m3d_yield = (0.5, 1.5);
-    assert!(montecarlo::try_run(&map, &wild_yield, &config).is_err());
+    assert!(montecarlo::try_run(&map, &wild_yield, &config, 1, &Supervisor::new()).is_err());
 }
 
 /// A ratio source that corrupts every `nan_every`-th evaluation with NaN
-/// and every `neg_every`-th with a negative ratio.
+/// and every `neg_every`-th with a negative ratio. It depends on call
+/// order, so its counts are pinned at one worker.
 struct FaultySource {
     inner: TcdpMap,
     nan_every: usize,
     neg_every: usize,
-    calls: Cell<usize>,
+    calls: AtomicUsize,
 }
 
 impl RatioSource for FaultySource {
     fn tcdp_ratio(&self, sample: &UncertaintySample) -> f64 {
-        let n = self.calls.get() + 1;
-        self.calls.set(n);
+        let n = self.calls.fetch_add(1, Ordering::Relaxed) + 1;
         if n % self.nan_every == 0 {
             f64::NAN
         } else if n % self.neg_every == 0 {
@@ -189,14 +190,20 @@ fn injected_sample_faults_are_isolated_and_counted_per_cause() {
         inner: paper_map(),
         nan_every: 10,
         neg_every: 7,
-        calls: Cell::new(0),
+        calls: AtomicUsize::new(0),
     };
     let config = MonteCarloConfig::new(700, 42)
         .expect("valid config")
         .with_failure_budget(0.5)
         .expect("valid budget");
-    let result = no_panic("try_run_with under injected faults", || {
-        montecarlo::try_run_with(&source, &UncertaintyRanges::paper_default(), &config)
+    let result = no_panic("try_run under injected faults", || {
+        montecarlo::try_run(
+            &source,
+            &UncertaintyRanges::paper_default(),
+            &config,
+            1,
+            &Supervisor::new(),
+        )
     })
     .expect("sweep completes despite injected faults");
 
@@ -221,8 +228,14 @@ fn blown_failure_budget_is_an_error_not_a_panic() {
         }
     }
     let config = MonteCarloConfig::new(50, 3).expect("valid config");
-    let err = no_panic("try_run_with with 100% faults", || {
-        montecarlo::try_run_with(&AlwaysNan, &UncertaintyRanges::paper_default(), &config)
+    let err = no_panic("try_run with 100% faults", || {
+        montecarlo::try_run(
+            &AlwaysNan,
+            &UncertaintyRanges::paper_default(),
+            &config,
+            1,
+            &Supervisor::new(),
+        )
     })
     .expect_err("nothing survives");
     match err {
@@ -382,7 +395,7 @@ fn injected_worker_panics_stay_within_the_failure_budget_at_eight_workers() {
     let ranges = UncertaintyRanges::paper_default();
     let supervisor = ppatc::Supervisor::new();
     let parallel = no_panic("Monte Carlo with panicking samples at 8 workers", || {
-        montecarlo::try_run_supervised(&source, &ranges, &config, 8, &supervisor)
+        montecarlo::try_run(&source, &ranges, &config, 8, &supervisor)
     })
     .expect("panics are isolated, not fatal");
     assert!(
@@ -395,7 +408,7 @@ fn injected_worker_panics_stay_within_the_failure_budget_at_eight_workers() {
     );
     // Panic isolation must not disturb determinism: the serial sweep sees
     // the same panics on the same indices and the same survivors.
-    let serial = montecarlo::try_run_supervised(&source, &ranges, &config, 1, &supervisor)
+    let serial = montecarlo::try_run(&source, &ranges, &config, 1, &supervisor)
         .expect("serial sweep completes");
     assert_same_samples(&serial, &parallel);
 }
@@ -403,7 +416,6 @@ fn injected_worker_panics_stay_within_the_failure_budget_at_eight_workers() {
 #[test]
 fn cancellation_at_random_chunk_boundaries_reports_coalesced_progress() {
     use ppatc_units::rng::SplitMix64;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     let mut rng = SplitMix64::new(0xC4A0_5);
     let n = 5_000usize;
@@ -415,7 +427,7 @@ fn cancellation_at_random_chunk_boundaries_reports_coalesced_progress() {
         let token = ppatc::CancelToken::new();
         let budget = ppatc::RunBudget::unlimited().with_cancel(&token);
         let calls = AtomicUsize::new(0);
-        let result = ppatc::eval::try_par_map_indexed(n, jobs, &budget, |i| {
+        let result = try_map_indexed(n, jobs, &budget, None, |i| {
             if calls.fetch_add(1, Ordering::Relaxed) + 1 == cancel_after {
                 token.cancel();
             }
@@ -456,7 +468,7 @@ fn deadline_exhaustion_interrupts_a_raster_with_a_typed_reason() {
     let supervisor = ppatc::Supervisor::new()
         .with_budget(ppatc::RunBudget::unlimited().with_deadline(std::time::Instant::now()));
     let err = no_panic("raster under an expired deadline", || {
-        map.try_raster_supervised((0.5, 3.0), (0.25, 1.5), 120, 100, 4, &supervisor)
+        map.try_raster((0.5, 3.0), (0.25, 1.5), 120, 100, 4, &supervisor)
     })
     .expect_err("an expired deadline stops the raster");
     assert!(
@@ -473,8 +485,6 @@ fn deadline_exhaustion_interrupts_a_raster_with_a_typed_reason() {
 
 #[test]
 fn interrupted_monte_carlo_resumes_byte_identically_from_its_journal() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
     let path = scratch_journal("montecarlo-resume");
     let _ = std::fs::remove_file(&path);
     let config = MonteCarloConfig::new(3_000, 2025).expect("valid config");
@@ -510,7 +520,7 @@ fn interrupted_monte_carlo_resumes_byte_identically_from_its_journal() {
     let supervisor = ppatc::Supervisor::new()
         .with_budget(ppatc::RunBudget::unlimited().with_cancel(&token))
         .with_checkpoint(&path);
-    let err = montecarlo::try_run_supervised(&source, &ranges, &config, 4, &supervisor)
+    let err = montecarlo::try_run(&source, &ranges, &config, 4, &supervisor)
         .expect_err("the run cancels itself");
     let PpatcError::Interrupted { completed, .. } = err else {
         panic!("expected an interrupt, got {err}");
@@ -523,7 +533,7 @@ fn interrupted_monte_carlo_resumes_byte_identically_from_its_journal() {
     let resumed_supervisor = ppatc::Supervisor::new()
         .with_checkpoint(&path)
         .resuming(true);
-    let resumed = montecarlo::try_run_supervised(&map, &ranges, &config, 4, &resumed_supervisor)
+    let resumed = montecarlo::try_run(&map, &ranges, &config, 4, &resumed_supervisor)
         .expect("resume completes");
     assert_same_samples(&reference, &resumed);
     let _ = std::fs::remove_file(&path);
@@ -549,7 +559,7 @@ fn interrupted_raster_resumes_byte_identically_from_its_journal() {
         .with_budget(ppatc::RunBudget::unlimited().with_deadline(std::time::Instant::now()))
         .with_checkpoint(&path);
     let err = map
-        .try_raster_supervised(window.0, window.1, nx, ny, 4, &expired)
+        .try_raster(window.0, window.1, nx, ny, 4, &expired)
         .expect_err("expired deadline interrupts");
     assert!(matches!(err, PpatcError::Interrupted { .. }));
 
@@ -557,7 +567,7 @@ fn interrupted_raster_resumes_byte_identically_from_its_journal() {
         .with_checkpoint(&path)
         .resuming(true);
     let grid = map
-        .try_raster_supervised(window.0, window.1, nx, ny, 4, &resumed)
+        .try_raster(window.0, window.1, nx, ny, 4, &resumed)
         .expect("resume completes the raster");
     let bits = |g: &[(f64, f64, f64)]| {
         g.iter()
@@ -568,7 +578,7 @@ fn interrupted_raster_resumes_byte_identically_from_its_journal() {
 
     // A second resume replays everything from disk and still matches.
     let replayed = map
-        .try_raster_supervised(window.0, window.1, nx, ny, 2, &resumed)
+        .try_raster(window.0, window.1, nx, ny, 2, &resumed)
         .expect("full replay completes");
     assert_eq!(bits(&reference), bits(&replayed));
     let _ = std::fs::remove_file(&path);
@@ -624,7 +634,6 @@ fn every_layer_error_converts_into_ppatc_error() {
 
 #[test]
 fn an_already_expired_deadline_interrupts_before_the_first_item() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
     let past = std::time::Instant::now();
     for (label, budget) in [
         (
@@ -637,7 +646,7 @@ fn an_already_expired_deadline_interrupts_before_the_first_item() {
         ),
     ] {
         let calls = AtomicUsize::new(0);
-        let result = ppatc::eval::try_par_map_indexed(512, 4, &budget, |i| {
+        let result = try_map_indexed(512, 4, &budget, None, |i| {
             calls.fetch_add(1, Ordering::Relaxed);
             i as f64
         });
@@ -681,7 +690,7 @@ fn cancellation_raced_from_a_second_thread_interrupts_cooperatively() {
             }
             canceller_token.cancel();
         });
-        ppatc::eval::try_par_map_indexed(n, 4, &budget, |i| {
+        try_map_indexed(n, 4, &budget, None, |i| {
             first_item_seen.store(true, Ordering::Release);
             // Keep items slow enough that the run outlives the canceller.
             std::thread::sleep(std::time::Duration::from_micros(200));
@@ -713,18 +722,20 @@ fn cancellation_raced_from_a_second_thread_interrupts_cooperatively() {
 #[test]
 fn a_chunk_whose_every_item_panics_is_fully_accounted() {
     // Direct engine level: all 64 items of the run panic; the run still
-    // completes Ok with one typed WorkerPanic per slot, in index order.
+    // completes Ok with every index recorded as panicked, in index order.
     let budget = ppatc::RunBudget::unlimited();
-    let slots = no_panic("all-panic sweep at 4 workers", || {
-        ppatc::eval::try_par_map_indexed::<f64, _>(64, 4, &budget, |i| {
+    let outcomes = no_panic("all-panic sweep at 4 workers", || {
+        try_map_indexed(64, 4, &budget, None, |i| -> f64 {
             panic!("injected: item {i} always panics")
         })
     })
     .expect("wholesale panics are isolated, not fatal");
-    assert_eq!(slots.len(), 64);
-    for (i, slot) in slots.iter().enumerate() {
-        assert_eq!(slot, &Err(PpatcError::WorkerPanic { index: i }));
-    }
+    assert!(outcomes.values.is_empty());
+    assert_eq!(outcomes.panicked, (0..64).collect::<Vec<_>>());
+    assert_eq!(
+        outcomes.try_into_values(),
+        Err(PpatcError::WorkerPanic { index: 0 })
+    );
 
     // Monte-Carlo level: a source that panics on every sample wipes out
     // the whole run. Even with a saturated failure budget of 1.0 the
@@ -743,7 +754,7 @@ fn a_chunk_whose_every_item_panics_is_fully_accounted() {
     let supervisor = ppatc::Supervisor::new();
     for jobs in [1, 8] {
         let err = no_panic("all-panic Monte Carlo", || {
-            montecarlo::try_run_supervised(&source, &ranges, &config, jobs, &supervisor)
+            montecarlo::try_run(&source, &ranges, &config, jobs, &supervisor)
         })
         .expect_err("a total wipeout is a structured error");
         assert!(
