@@ -1,13 +1,34 @@
-//! Crash-safe, line-oriented checkpoint journals for supervised runs.
+//! Crash-safe, line-oriented append-logs, and the checkpoint journal of
+//! supervised runs built on one.
+//!
+//! # Append-log
+//!
+//! [`AppendLog`] is the one file primitive behind every crash-recovery
+//! journal in the workspace: the checkpoint [`Journal`] here and the
+//! serve crate's warm-cache journal. A log is a text file holding one
+//! header line that names the run it belongs to, then body lines, each
+//! appended whole and flushed under a lock. Its crash policy:
+//!
+//! - a line is complete only when it ends in `\n`;
+//! - an unterminated final line is a tear (a crash mid-append): recovery
+//!   discards it and cuts it off the file before anything is appended, and
+//!   a file with no complete line at all counts as missing;
+//! - a complete header that differs from the expected one means the file
+//!   belongs to a different run, and recovery refuses it;
+//! - every complete body line must parse under the caller's grammar;
+//!   otherwise recovery fails with a typed error naming the line.
+//!
+//! Rewriting a log (compaction) writes a sibling `<path>.tmp`, syncs it
+//! and renames it over the log, so a crash mid-rewrite leaves the old file
+//! whole.
+//!
+//! # Checkpoint journal
 //!
 //! A [`Journal`] records completed work items of one supervised parallel
-//! run (see [`crate::eval::try_map_indexed`]) as plain text lines:
-//! a header identifying the run, then one line per completed chunk. Each
-//! item's value is serialized as fixed-width hexadecimal `u64` words, so
-//! the format is append-only, human-inspectable, and torn-write safe — a
-//! partial trailing line (the only damage a crash can cause to an
-//! append-and-flush writer) fails to parse and is simply skipped on
-//! resume, costing at most one chunk of recomputation.
+//! run (see [`crate::eval::try_map_indexed`]): one
+//! `c <start> <count> <words...>` line per completed chunk, each item a tag
+//! word followed by its value as fixed-width hexadecimal `u64` words. A
+//! crash costs at most the one chunk whose line it tore.
 //!
 //! # Determinism
 //!
@@ -24,10 +45,10 @@ use crate::error::PpatcError;
 use crate::eval::Sink;
 use ppatc_units::rng::SplitMix64;
 use std::collections::HashMap;
-use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::fs::{File, OpenOptions};
+use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Tag word marking a journaled item that evaluated successfully.
 const TAG_OK: u64 = 0;
@@ -36,15 +57,212 @@ const TAG_OK: u64 = 0;
 /// [`PpatcError::WorkerPanic`] instead of re-unwinding on resume).
 const TAG_PANICKED: u64 = 1;
 
-/// Seed for the run-parameter fingerprint (the SplitMix64 golden-gamma
-/// constant; any fixed odd value works).
+/// Seed for header fingerprints (the SplitMix64 golden-gamma constant; any
+/// fixed odd value works).
 const FINGERPRINT_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// One fold step of the run-parameter fingerprint.
+/// One fold step of a header fingerprint.
 fn fold(acc: u64, word: u64) -> u64 {
-    let mut s = SplitMix64::new(acc ^ word);
-    s.next_u64()
+    SplitMix64::new(acc ^ word).next_u64()
 }
+
+/// Fingerprint of a log's identity: the bytes of `label`, then `words`
+/// (every parameter that changes what the log's lines mean), folded
+/// through SplitMix64. Written into a header, it makes a log written for
+/// different parameters fail the header check instead of replaying.
+pub fn fingerprint(label: &str, words: impl IntoIterator<Item = u64>) -> u64 {
+    label
+        .bytes()
+        .map(u64::from)
+        .chain(words)
+        .fold(FINGERPRINT_SEED, fold)
+}
+
+/// How one kind of append-log names itself in error messages.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LogKind {
+    /// What the file is, e.g. `"journal"`.
+    pub noun: &'static str,
+    /// What a foreign header means the file was written for, e.g. `"run"`.
+    pub owner: &'static str,
+}
+
+/// Wraps an I/O failure on a log file as a [`PpatcError::Checkpoint`].
+fn journal_error(kind: LogKind, path: &Path, action: &str, e: &std::io::Error) -> PpatcError {
+    PpatcError::Checkpoint {
+        detail: format!("could not {action} {} {}: {e}", kind.noun, path.display()),
+    }
+}
+
+/// A header line plus complete, flushed body lines; see the module docs
+/// for the crash policy. Callers own the line grammar: they hand in
+/// formatted lines and a parser for them.
+#[derive(Debug)]
+pub struct AppendLog {
+    path: PathBuf,
+    kind: LogKind,
+    file: Mutex<File>,
+}
+
+impl AppendLog {
+    /// Replaces whatever is at `path` with a log holding `header` and then
+    /// `lines`, atomically: the text goes to a sibling `<path>.tmp`, is
+    /// synced, and is renamed over `path`. Returns the log open for
+    /// appending. With no lines this creates a fresh log.
+    ///
+    /// # Errors
+    ///
+    /// [`PpatcError::Checkpoint`] if the temporary file cannot be created or
+    /// written, or the rename fails; `path` is then left as it was.
+    #[must_use = "this returns a Result that must be handled"]
+    pub fn try_rewrite(
+        path: impl Into<PathBuf>,
+        kind: LogKind,
+        header: &str,
+        lines: impl IntoIterator<Item = String>,
+    ) -> Result<Self, PpatcError> {
+        let path = path.into();
+        let mut tmp = path.clone().into_os_string();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
+        let mut text = format!("{header}\n");
+        for line in lines {
+            text.push_str(&line);
+            text.push('\n');
+        }
+        let mut file = File::create(&tmp).map_err(|e| journal_error(kind, &tmp, "create", &e))?;
+        // Synced, not just flushed: the rename must never replace a whole
+        // log with one whose bytes are not yet on disk.
+        file.write_all(text.as_bytes())
+            .and_then(|()| file.sync_all())
+            .map_err(|e| journal_error(kind, &tmp, "write", &e))?;
+        std::fs::rename(&tmp, &path).map_err(|e| journal_error(kind, &path, "replace", &e))?;
+        Ok(Self {
+            path,
+            kind,
+            file: Mutex::new(file),
+        })
+    }
+
+    /// Reads the log at `path` without changing it: the byte length of its
+    /// complete lines and each body line run through `parse`, in file
+    /// order. A missing file, or one without a complete line, reads as
+    /// `(0, [])`. `parse` returns why a line is bad as a predicate phrase
+    /// (`"is not a chunk line"`).
+    ///
+    /// # Errors
+    ///
+    /// [`PpatcError::Checkpoint`] if the file cannot be read, its header is
+    /// not `header`, or a complete body line is not UTF-8 or fails `parse`.
+    #[must_use = "this returns a Result that must be handled"]
+    pub fn try_read<T>(
+        path: &Path,
+        kind: LogKind,
+        header: &str,
+        mut parse: impl FnMut(&str) -> Result<T, String>,
+    ) -> Result<(u64, Vec<T>), PpatcError> {
+        let bytes = match std::fs::read(path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((0, Vec::new())),
+            Err(e) => return Err(journal_error(kind, path, "read", &e)),
+        };
+        // Only lines ending in '\n' are complete; what follows the last one
+        // is a tear.
+        let Some(end) = bytes.iter().rposition(|&b| b == b'\n') else {
+            return Ok((0, Vec::new()));
+        };
+        let mut lines = bytes[..end].split(|&b| b == b'\n');
+        let found = lines.next().unwrap_or_default();
+        if found != header.as_bytes() {
+            return Err(PpatcError::Checkpoint {
+                detail: format!(
+                    "{} {} belongs to a different {}: found header '{}', expected '{header}'",
+                    kind.noun,
+                    path.display(),
+                    kind.owner,
+                    String::from_utf8_lossy(found)
+                ),
+            });
+        }
+        let mut body = Vec::new();
+        for (number, line) in lines.enumerate() {
+            let item = std::str::from_utf8(line)
+                .map_err(|_| "is not UTF-8 text".to_string())
+                .and_then(&mut parse)
+                .map_err(|reason| PpatcError::Checkpoint {
+                    detail: format!(
+                        "{} {} is corrupt: line {} {reason} — refusing to recover from a \
+                         damaged or spliced file",
+                        kind.noun,
+                        path.display(),
+                        number + 2
+                    ),
+                })?;
+            body.push(item);
+        }
+        Ok((end as u64 + 1, body))
+    }
+
+    /// Recovers the log at `path` ([`AppendLog::try_read`]), cuts a torn
+    /// tail off the file, and opens it for appending; a missing log is
+    /// created fresh. Returns the log and its parsed body lines.
+    ///
+    /// # Errors
+    ///
+    /// As [`AppendLog::try_read`] and [`AppendLog::try_rewrite`], plus a
+    /// failure to reopen or truncate the file.
+    #[must_use = "this returns a Result that must be handled"]
+    pub fn try_open<T>(
+        path: impl Into<PathBuf>,
+        kind: LogKind,
+        header: &str,
+        parse: impl FnMut(&str) -> Result<T, String>,
+    ) -> Result<(Self, Vec<T>), PpatcError> {
+        let path = path.into();
+        let (complete, body) = Self::try_read(&path, kind, header, parse)?;
+        if complete == 0 {
+            return Ok((Self::try_rewrite(path, kind, header, [])?, body));
+        }
+        let file = OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .and_then(|file| file.set_len(complete).map(|()| file))
+            .map_err(|e| journal_error(kind, &path, "reopen for append", &e))?;
+        Ok((
+            Self {
+                path,
+                kind,
+                file: Mutex::new(file),
+            },
+            body,
+        ))
+    }
+
+    /// The log's file path.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// Appends `line` (without its `\n`) as one flushed write.
+    ///
+    /// # Errors
+    ///
+    /// [`PpatcError::Checkpoint`] if the write or flush fails.
+    #[must_use = "this returns a Result that must be handled"]
+    pub fn append(&self, mut line: String) -> Result<(), PpatcError> {
+        line.push('\n');
+        let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
+        file.write_all(line.as_bytes())
+            .and_then(|()| file.flush())
+            .map_err(|e| journal_error(self.kind, &self.path, "append to", &e))
+    }
+}
+
+/// How checkpoint journals name themselves in errors.
+const JOURNAL: LogKind = LogKind {
+    noun: "journal",
+    owner: "run",
+};
 
 /// A value that can be journaled as a fixed number of `u64` words.
 ///
@@ -131,20 +349,12 @@ impl JournalSpec {
     /// `params` (every seed, bound, and knob that influences item values,
     /// as raw `u64`/bit-pattern words) into the fingerprint.
     pub fn for_run<T: Checkpointable>(kind: &'static str, items: usize, params: &[u64]) -> Self {
-        let mut acc = FINGERPRINT_SEED;
-        for b in kind.bytes() {
-            acc = fold(acc, u64::from(b));
-        }
-        acc = fold(acc, items as u64);
-        acc = fold(acc, T::WIDTH as u64);
-        for &p in params {
-            acc = fold(acc, p);
-        }
+        let words = [items as u64, T::WIDTH as u64];
         Self {
             kind,
             items,
             item_width: T::WIDTH,
-            fingerprint: acc,
+            fingerprint: fingerprint(kind, words.into_iter().chain(params.iter().copied())),
         }
     }
 
@@ -157,24 +367,16 @@ impl JournalSpec {
     }
 }
 
-/// Wraps an I/O failure on the journal file as a [`PpatcError::Checkpoint`].
-fn journal_error(path: &Path, action: &str, e: &std::io::Error) -> PpatcError {
-    PpatcError::Checkpoint {
-        detail: format!("could not {action} {}: {e}", path.display()),
-    }
-}
-
 /// An append-only checkpoint journal bound to one run spec.
 ///
 /// Create with [`Journal::try_create`] (fresh run) or
 /// [`Journal::try_resume`] (reload completed items, then keep appending),
-/// then pass to [`crate::eval::try_map_indexed`] as its [`Sink`]. Appends are
-/// line-buffered and flushed per chunk, so a crash loses at most the
-/// in-flight line.
+/// then pass to [`crate::eval::try_map_indexed`] as its [`Sink`]. Each
+/// chunk is one flushed line of the underlying [`AppendLog`], so a crash
+/// loses at most the in-flight line.
 pub struct Journal {
-    path: PathBuf,
+    log: AppendLog,
     spec: JournalSpec,
-    writer: Mutex<BufWriter<File>>,
     /// Items reloaded by [`Journal::try_resume`], keyed by index; each
     /// value is the `[tag, payload...]` word run from the file.
     preloaded: HashMap<usize, Vec<u64>>,
@@ -183,7 +385,7 @@ pub struct Journal {
 impl core::fmt::Debug for Journal {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Journal")
-            .field("path", &self.path)
+            .field("path", &self.log.path())
             .field("spec", &self.spec)
             .field("preloaded", &self.preloaded.len())
             .finish_non_exhaustive()
@@ -191,7 +393,7 @@ impl core::fmt::Debug for Journal {
 }
 
 impl Journal {
-    /// Creates (truncating) a fresh journal at `path` and writes its
+    /// Creates (replacing) a fresh journal at `path` holding only its
     /// header.
     ///
     /// # Errors
@@ -199,95 +401,37 @@ impl Journal {
     /// [`PpatcError::Checkpoint`] if the file cannot be created or written.
     #[must_use = "this returns a Result that must be handled"]
     pub fn try_create(path: impl Into<PathBuf>, spec: &JournalSpec) -> Result<Self, PpatcError> {
-        let path = path.into();
-        let file = File::create(&path).map_err(|e| journal_error(&path, "create", &e))?;
-        let mut writer = BufWriter::new(file);
-        writer
-            .write_all(spec.header_line().as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
-            .map_err(|e| journal_error(&path, "write the header of", &e))?;
         Ok(Self {
-            path,
+            log: AppendLog::try_rewrite(path, JOURNAL, &spec.header_line(), [])?,
             spec: spec.clone(),
-            writer: Mutex::new(writer),
             preloaded: HashMap::new(),
         })
     }
 
-    /// Opens an existing journal at `path`, reloads every parseable chunk
-    /// line, and reopens the file for appending. A missing file falls back
-    /// to [`Journal::try_create`]. Malformed or torn lines are skipped.
+    /// Opens the journal at `path` under the append-log crash policy
+    /// (module docs), reloads every chunk line, and keeps appending to it.
+    /// A missing file, or one without a complete line, starts a fresh
+    /// journal.
     ///
     /// # Errors
     ///
     /// [`PpatcError::Checkpoint`] if the file cannot be read or reopened,
     /// if its header does not match `spec` (resuming a different run would
-    /// silently splice unrelated results), or if a *complete* chunk line
-    /// indexes past the end of the run — that cannot result from a torn
-    /// write, so the journal belongs to some other run and skipping the
-    /// line would silently discard evidence of corruption.
+    /// silently splice unrelated results), or if a complete line is not a
+    /// chunk of this run — a tear cannot produce one, so the journal is
+    /// damaged or belongs to another run.
     #[must_use = "this returns a Result that must be handled"]
     pub fn try_resume(path: impl Into<PathBuf>, spec: &JournalSpec) -> Result<Self, PpatcError> {
-        let path = path.into();
-        let file = match File::open(&path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Self::try_create(path, spec);
-            }
-            Err(e) => return Err(journal_error(&path, "open", &e)),
-        };
-
-        let mut preloaded = HashMap::new();
-        let mut lines = BufReader::new(file).lines();
-        let header = match lines.next() {
-            Some(Ok(line)) => line,
-            Some(Err(e)) => return Err(journal_error(&path, "read the header of", &e)),
-            None => String::new(),
-        };
-        let expected = spec.header_line();
-        if header != expected {
-            return Err(PpatcError::Checkpoint {
-                detail: format!(
-                    "journal {} belongs to a different run: found header '{header}', \
-                     expected '{expected}'",
-                    path.display()
-                ),
-            });
-        }
-        for line in lines {
-            let line = line.map_err(|e| journal_error(&path, "read", &e))?;
-            match parse_chunk_line(&line, spec) {
-                ChunkLine::Chunk(start, items) => {
-                    for (offset, words) in items.into_iter().enumerate() {
-                        preloaded.insert(start + offset, words);
-                    }
-                }
-                ChunkLine::OutOfRange { start, count } => {
-                    return Err(PpatcError::Checkpoint {
-                        detail: format!(
-                            "journal {} is corrupt: a complete chunk line claims items \
-                             {start}..{} but the run spans only {} items — refusing to \
-                             resume from a journal that does not belong to this run",
-                            path.display(),
-                            start.saturating_add(count),
-                            spec.items
-                        ),
-                    });
-                }
-                ChunkLine::Malformed => {}
-            }
-        }
-
-        let file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .map_err(|e| journal_error(&path, "reopen for append", &e))?;
+        let (log, chunks) = AppendLog::try_open(path, JOURNAL, &spec.header_line(), |line| {
+            parse_chunk_line(line, spec)
+        })?;
         Ok(Self {
-            path,
+            log,
             spec: spec.clone(),
-            writer: Mutex::new(BufWriter::new(file)),
-            preloaded,
+            preloaded: chunks
+                .into_iter()
+                .flat_map(|(start, items)| (start..).zip(items))
+                .collect(),
         })
     }
 
@@ -314,7 +458,7 @@ impl<T: Checkpointable> Sink<T> for Journal {
             return Ok(());
         };
         Err(PpatcError::Checkpoint {
-            detail: format!("journal {} {mismatch}", self.path.display()),
+            detail: format!("journal {} {mismatch}", self.log.path().display()),
         })
     }
 
@@ -366,73 +510,45 @@ impl<T: Checkpointable> Sink<T> for Journal {
                 let _ = write!(line, " {w:016x}");
             }
         }
-        line.push('\n');
-        let mut writer = match self.writer.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.flush())
-            .map_err(|e| journal_error(&self.path, "append to", &e))
+        self.log.append(line)
     }
 }
 
-/// Classification of one journal body line on resume.
-#[derive(Debug, PartialEq)]
-enum ChunkLine {
-    /// A well-formed, in-range chunk: items `start..start + values.len()`.
-    Chunk(usize, Vec<Vec<u64>>),
-    /// A *complete, well-formed* chunk line whose index range does not fit
-    /// the run (`start + count > items`). A torn write cannot produce
-    /// this — every word is present and parses — so it means the journal
-    /// does not belong to this run (hand-edited, spliced, or a fingerprint
-    /// collision) and resume must refuse rather than silently drop it.
-    OutOfRange { start: usize, count: usize },
-    /// Torn or garbage line (truncated words, bad hex, trailing junk);
-    /// skipped on resume at the cost of recomputing that chunk.
-    Malformed,
-}
-
-/// Parses one `c <start> <count> <words...>` chunk line; see [`ChunkLine`]
-/// for how damage is distinguished from corruption.
-fn parse_chunk_line(line: &str, spec: &JournalSpec) -> ChunkLine {
-    let mut toks = line.split_ascii_whitespace();
-    if toks.next() != Some("c") {
-        return ChunkLine::Malformed;
-    }
-    let Some(start) = toks.next().and_then(|t| t.parse::<usize>().ok()) else {
-        return ChunkLine::Malformed;
+/// Parses one complete `c <start> <count> <words...>` chunk line into its
+/// start index and each item's `[tag, payload...]` words. `Err` says what
+/// is wrong: a malformed line, an unknown tag word, or an index range past
+/// the end of the run.
+fn parse_chunk_line(line: &str, spec: &JournalSpec) -> Result<(usize, Vec<Vec<u64>>), String> {
+    let malformed = || format!("is not a chunk line of width {}", spec.item_width);
+    let tokens: Vec<&str> = line.split(' ').collect();
+    let ["c", start, count, words @ ..] = tokens.as_slice() else {
+        return Err(malformed());
     };
-    let Some(count) = toks.next().and_then(|t| t.parse::<usize>().ok()) else {
-        return ChunkLine::Malformed;
+    let (Ok(start), Ok(count)) = (start.parse::<usize>(), count.parse::<usize>()) else {
+        return Err(malformed());
     };
-    if count == 0 {
-        return ChunkLine::Malformed;
+    let stride = spec.item_width.saturating_add(1);
+    if count == 0 || count.checked_mul(stride) != Some(words.len()) {
+        return Err(malformed());
     }
-    let Some(stride) = spec.item_width.checked_add(1) else {
-        return ChunkLine::Malformed;
-    };
-    let mut items = Vec::with_capacity(count.min(spec.items));
-    for _ in 0..count {
-        let mut words = Vec::with_capacity(stride);
-        for _ in 0..stride {
-            match toks.next().map(|t| u64::from_str_radix(t, 16)) {
-                Some(Ok(w)) => words.push(w),
-                _ => return ChunkLine::Malformed,
-            }
-        }
-        items.push(words);
-    }
-    if toks.next().is_some() {
-        return ChunkLine::Malformed;
-    }
-    // Only now that the whole line is known to be complete does an index
-    // range past the end of the run mean corruption rather than a tear.
+    let words = words
+        .iter()
+        .map(|w| u64::from_str_radix(w, 16))
+        .collect::<Result<Vec<u64>, _>>()
+        .map_err(|_| malformed())?;
     if start.checked_add(count).is_none_or(|end| end > spec.items) {
-        return ChunkLine::OutOfRange { start, count };
+        return Err(format!(
+            "claims items {start}..{} but the run spans only {} items",
+            start.saturating_add(count),
+            spec.items
+        ));
     }
-    ChunkLine::Chunk(start, items)
+    let items: Vec<Vec<u64>> = words.chunks(stride).map(|item| item.to_vec()).collect();
+    let mut tags = items.iter().filter_map(|item| item.first());
+    if let Some(tag) = tags.find(|&&t| t != TAG_OK && t != TAG_PANICKED) {
+        return Err(format!("has unknown tag word {tag:x}"));
+    }
+    Ok((start, items))
 }
 
 #[cfg(test)]
@@ -442,6 +558,13 @@ mod tests {
     /// A collision-free scratch path for one test.
     fn scratch(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("ppatc-journal-{}-{name}.txt", std::process::id()))
+    }
+
+    /// Appends raw bytes to `path`, as a crash mid-append or a hand edit
+    /// would leave them.
+    fn append_raw(path: &Path, bytes: &str) {
+        let mut f = OpenOptions::new().append(true).open(path).expect("reopen");
+        f.write_all(bytes.as_bytes()).expect("raw append");
     }
 
     #[test]
@@ -495,6 +618,25 @@ mod tests {
     }
 
     #[test]
+    fn journal_bytes_are_pinned() {
+        let path = scratch("pinned");
+        let spec = JournalSpec::for_run::<f64>("test", 10, &[42]);
+        {
+            let j = Journal::try_create(&path, &spec).expect("create");
+            Sink::<f64>::append(&j, 0, 2, &[1.5, -0.0], &[]).expect("append");
+            Sink::<f64>::append(&j, 5, 7, &[2.0], &[6]).expect("append");
+        }
+        let text = std::fs::read_to_string(&path).expect("read back");
+        assert_eq!(
+            text,
+            "ppatc-journal v1 kind=test items=10 width=1 fingerprint=e1330fb857c306e3\n\
+             c 0 2 0000000000000000 3ff8000000000000 0000000000000000 8000000000000000\n\
+             c 5 2 0000000000000000 4000000000000000 0000000000000001 0000000000000000\n"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn resume_of_missing_file_creates_a_fresh_journal() {
         let path = scratch("fresh");
         let _ = std::fs::remove_file(&path);
@@ -524,57 +666,106 @@ mod tests {
             let j = Journal::try_create(&path, &spec).expect("create");
             Sink::<f64>::append(&j, 0, 1, &[2.0], &[]).expect("append");
         }
+        let intact = std::fs::read(&path).expect("read back");
         // Simulate a crash mid-append: a truncated chunk line.
-        {
-            use std::io::Write as _;
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&path)
-                .expect("reopen");
-            write!(f, "c 3 2 00000000000").expect("torn write");
-        }
+        append_raw(&path, "c 3 2 00000000000");
         let j = Journal::try_resume(&path, &spec).expect("resume survives the tear");
         assert_eq!(j.completed_items(), 1);
         assert_eq!(Sink::<f64>::replay(&j, 0), Some(Some(2.0)));
         assert_eq!(Sink::<f64>::replay(&j, 3), None);
+        assert_eq!(
+            std::fs::read(&path).expect("read back"),
+            intact,
+            "resume cuts the tear off the file"
+        );
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn garbage_lines_are_skipped_but_complete_out_of_range_lines_are_corruption() {
+    fn resume_after_a_tear_never_replays_glued_values() {
+        let path = scratch("glued");
+        let spec = JournalSpec::for_run::<f64>("test", 10, &[]);
+        drop(Journal::try_create(&path, &spec).expect("create"));
+        append_raw(&path, "c 0 3 0000000000000000 000");
+        let j = Journal::try_resume(&path, &spec).expect("resume over the tear");
+        Sink::<f64>::append(&j, 5, 6, &[2.0], &[]).expect("append");
+        drop(j);
+        let j = Journal::try_resume(&path, &spec).expect("second resume");
+        for i in 0..3 {
+            assert_eq!(
+                Sink::<f64>::replay(&j, i),
+                None,
+                "item {i} was never computed"
+            );
+        }
+        assert_eq!(Sink::<f64>::replay(&j, 5), Some(Some(2.0)));
+        assert_eq!(j.completed_items(), 1);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn unknown_tag_words_are_corruption() {
+        let path = scratch("unknown-tag");
+        let spec = JournalSpec::for_run::<f64>("test", 10, &[]);
+        drop(Journal::try_create(&path, &spec).expect("create"));
+        append_raw(&path, "c 0 1 0000000000000005 3ff8000000000000\n");
+        let err = Journal::try_resume(&path, &spec).expect_err("tag 5 is neither ok nor panicked");
+        assert!(matches!(err, PpatcError::Checkpoint { .. }), "{err}");
+        assert!(err.to_string().contains("line 2"), "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_malformed_complete_line_mid_file_is_refused() {
+        let path = scratch("mid-file");
+        let spec = JournalSpec::for_run::<f64>("test", 10, &[]);
+        {
+            let j = Journal::try_create(&path, &spec).expect("create");
+            Sink::<f64>::append(&j, 0, 1, &[2.0], &[]).expect("append");
+        }
+        append_raw(&path, "c 1 1 zz\n");
+        append_raw(&path, "c 2 1 0000000000000000 3ff0000000000000\n");
+        let err = Journal::try_resume(&path, &spec).expect_err("mid-file damage is refused");
+        let msg = err.to_string();
+        assert!(msg.contains("corrupt") && msg.contains("line 3"), "{msg}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn complete_lines_must_parse_and_fit_the_run() {
         let spec = JournalSpec::for_run::<f64>("test", 4, &[]);
-        assert_eq!(parse_chunk_line("", &spec), ChunkLine::Malformed);
-        assert_eq!(
-            parse_chunk_line("x 0 1 0000000000000000 0000000000000000", &spec),
-            ChunkLine::Malformed
-        );
-        // Trailing garbage.
-        assert_eq!(
-            parse_chunk_line("c 0 1 0000000000000000 0000000000000000 junk", &spec),
-            ChunkLine::Malformed
-        );
-        // A *complete* line indexing past the end of the run is not tear
-        // damage — it is evidence the journal belongs to another run.
+        let malformed = "is not a chunk line of width 1";
+        for line in [
+            "",
+            "x 0 1 0000000000000000 0000000000000000",
+            "c 0 1 0000000000000000 0000000000000000 junk",
+            "c 0 0",
+            "c 3 2 0000000000000000 0000000000000000 00000000",
+            "c 0 1 0000000000000000 3ff8zz0000000000",
+        ] {
+            assert_eq!(
+                parse_chunk_line(line, &spec),
+                Err(malformed.into()),
+                "{line}"
+            );
+        }
+        // A complete line indexing past the end of the run is evidence the
+        // journal belongs to another run.
         assert_eq!(
             parse_chunk_line(
                 "c 3 2 0000000000000000 0000000000000000 0000000000000000 0000000000000000",
                 &spec
             ),
-            ChunkLine::OutOfRange { start: 3, count: 2 }
+            Err("claims items 3..5 but the run spans only 4 items".into())
         );
-        // ... but the same range *truncated* is an ordinary torn line.
         assert_eq!(
-            parse_chunk_line("c 3 2 0000000000000000 0000000000000000 00000000", &spec),
-            ChunkLine::Malformed
+            parse_chunk_line("c 0 1 0000000000000005 0000000000000000", &spec),
+            Err("has unknown tag word 5".into())
         );
-        // A well-formed line parses.
-        match parse_chunk_line("c 1 1 0000000000000000 3ff8000000000000", &spec) {
-            ChunkLine::Chunk(start, items) => {
-                assert_eq!(start, 1);
-                assert_eq!(items, vec![vec![0, 1.5_f64.to_bits()]]);
-            }
-            other => panic!("expected a chunk, got {other:?}"),
-        }
+        assert_eq!(
+            parse_chunk_line("c 1 1 0000000000000000 3ff8000000000000", &spec),
+            Ok((1, vec![vec![0, 1.5_f64.to_bits()]]))
+        );
     }
 
     #[test]
@@ -587,18 +778,10 @@ mod tests {
         }
         // Splice in a complete chunk line from a longer run: same header
         // shape, indices past the end of this run's 4-item space.
-        {
-            use std::io::Write as _;
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&path)
-                .expect("reopen");
-            writeln!(
-                f,
-                "c 6 2 0000000000000000 3ff0000000000000 0000000000000000 4000000000000000"
-            )
-            .expect("splice");
-        }
+        append_raw(
+            &path,
+            "c 6 2 0000000000000000 3ff0000000000000 0000000000000000 4000000000000000\n",
+        );
         let err = Journal::try_resume(&path, &spec).expect_err("corruption is fatal");
         assert!(matches!(err, PpatcError::Checkpoint { .. }), "{err}");
         let msg = err.to_string();

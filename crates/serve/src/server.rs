@@ -214,8 +214,8 @@ impl ServerHandle {
 /// # Errors
 ///
 /// Any `std::io::Error` from binding the listener, plus journal recovery
-/// failures (corruption before the tail, a journal from a different
-/// cache geometry, or plain I/O) wrapped as `std::io::Error`.
+/// failures (a damaged complete line, a journal from a different cache
+/// geometry, or plain I/O) wrapped as `std::io::Error`.
 #[must_use = "this returns a Result that must be handled"]
 pub fn try_spawn(config: ServerConfig) -> Result<ServerHandle, std::io::Error> {
     let listener = TcpListener::bind(&config.addr)?;

@@ -483,6 +483,23 @@ fn deadline_exhaustion_interrupts_a_raster_with_a_typed_reason() {
     );
 }
 
+/// A ratio source that cancels its own run after `cancel_after` calls.
+struct SelfCancelling<'a> {
+    inner: &'a TcdpMap,
+    token: ppatc::CancelToken,
+    calls: AtomicUsize,
+    cancel_after: usize,
+}
+
+impl RatioSource for SelfCancelling<'_> {
+    fn tcdp_ratio(&self, sample: &UncertaintySample) -> f64 {
+        if self.calls.fetch_add(1, Ordering::Relaxed) + 1 == self.cancel_after {
+            self.token.cancel();
+        }
+        self.inner.tcdp_ratio(sample)
+    }
+}
+
 #[test]
 fn interrupted_monte_carlo_resumes_byte_identically_from_its_journal() {
     let path = scratch_journal("montecarlo-resume");
@@ -495,21 +512,6 @@ fn interrupted_monte_carlo_resumes_byte_identically_from_its_journal() {
     let reference =
         montecarlo::try_run_jobs(&map, &ranges, &config, 1).expect("reference sweep completes");
 
-    // A source that cancels its own run partway through.
-    struct SelfCancelling<'a> {
-        inner: &'a TcdpMap,
-        token: ppatc::CancelToken,
-        calls: AtomicUsize,
-        cancel_after: usize,
-    }
-    impl RatioSource for SelfCancelling<'_> {
-        fn tcdp_ratio(&self, sample: &UncertaintySample) -> f64 {
-            if self.calls.fetch_add(1, Ordering::Relaxed) + 1 == self.cancel_after {
-                self.token.cancel();
-            }
-            self.inner.tcdp_ratio(sample)
-        }
-    }
     let token = ppatc::CancelToken::new();
     let source = SelfCancelling {
         inner: &map,
@@ -537,6 +539,85 @@ fn interrupted_monte_carlo_resumes_byte_identically_from_its_journal() {
         .expect("resume completes");
     assert_same_samples(&reference, &resumed);
     let _ = std::fs::remove_file(&path);
+}
+
+/// Runs the journaled Monte-Carlo sweep at `path`, cancelling itself after
+/// `cancel_after` fresh samples, and returns the journal's length.
+fn run_and_cancel(
+    map: &TcdpMap,
+    config: &MonteCarloConfig,
+    jobs: usize,
+    path: &std::path::Path,
+    resume: bool,
+    cancel_after: usize,
+) -> u64 {
+    let token = ppatc::CancelToken::new();
+    let source = SelfCancelling {
+        inner: map,
+        token: token.clone(),
+        calls: AtomicUsize::new(0),
+        cancel_after,
+    };
+    let supervisor = ppatc::Supervisor::new()
+        .with_budget(ppatc::RunBudget::unlimited().with_cancel(&token))
+        .with_checkpoint(path)
+        .resuming(resume);
+    let err = montecarlo::try_run(
+        &source,
+        &UncertaintyRanges::paper_default(),
+        config,
+        jobs,
+        &supervisor,
+    )
+    .expect_err("the run cancels itself");
+    assert!(matches!(err, PpatcError::Interrupted { .. }), "{err}");
+    std::fs::metadata(path).expect("journal exists").len()
+}
+
+#[test]
+fn resume_over_a_torn_tail_is_byte_identical_at_one_and_four_jobs() {
+    let config = MonteCarloConfig::new(3_000, 2025).expect("valid config");
+    let ranges = UncertaintyRanges::paper_default();
+    let map = paper_map();
+    let reference =
+        montecarlo::try_run_jobs(&map, &ranges, &config, 1).expect("reference sweep completes");
+    let torn = "c 0 3 0000000000000000 000";
+    for jobs in [1, 4] {
+        let path = scratch_journal(&format!("torn-resume-{jobs}"));
+        let _ = std::fs::remove_file(&path);
+        let intact = run_and_cancel(&map, &config, jobs, &path, false, 1_000);
+
+        // A crash mid-append leaves an unterminated line at the tail.
+        {
+            use std::io::Write as _;
+            let mut f = std::fs::OpenOptions::new()
+                .append(true)
+                .open(&path)
+                .expect("reopen journal");
+            f.write_all(torn.as_bytes()).expect("torn write");
+        }
+
+        // Resuming cuts the tear off before appending new chunks.
+        let grown = run_and_cancel(&map, &config, jobs, &path, true, 500);
+        assert!(
+            grown > intact,
+            "jobs {jobs}: the second pass journals chunks"
+        );
+        let text = std::fs::read_to_string(&path).expect("read journal");
+        assert!(text.ends_with('\n'), "jobs {jobs}: every line is complete");
+        assert!(
+            !text.contains(torn),
+            "jobs {jobs}: no chunk line is glued onto the tear"
+        );
+
+        let supervisor = ppatc::Supervisor::new()
+            .with_checkpoint(&path)
+            .resuming(true);
+        let resumed = montecarlo::try_run(&map, &ranges, &config, jobs, &supervisor)
+            .expect("resume completes");
+        assert_same_samples(&reference, &resumed);
+        let _ = std::fs::remove_file(&path);
+    }
 }
 
 #[test]
