@@ -38,14 +38,14 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--jobs" | "-j" => match ppatc_bench::cli::try_parse_jobs(args.next().as_deref()) {
+            "--jobs" | "-j" => match ppatc_serve::cli::try_parse_jobs(args.next().as_deref()) {
                 Ok(n) => jobs = n,
                 Err(e) => {
                     eprintln!("--jobs: {e}");
                     return ExitCode::FAILURE;
                 }
             },
-            "--deadline" => match ppatc_bench::cli::try_parse_deadline(args.next().as_deref()) {
+            "--deadline" => match ppatc_serve::cli::try_parse_deadline(args.next().as_deref()) {
                 Ok(d) => deadline = Some(d),
                 Err(e) => {
                     eprintln!("--deadline: {e}");

@@ -14,14 +14,13 @@
 //! | [`fig6`] | Fig. 6a/b | tCDP-ratio map, isoline, and uncertainty variants |
 //!
 //! The `paper` binary prints any exhibit (`cargo run --release -p
-//! ppatc-bench --bin paper -- table2`); the Criterion benches measure the
-//! cost of regenerating each one.
+//! ppatc-bench --bin paper -- table2`); the benchmark of record
+//! (`perfbench/`, traced run) measures the cost of regenerating each one.
 
 #![warn(missing_docs)]
 
 pub mod ablation;
 pub mod capacity;
-pub mod cli;
 pub mod extras;
 pub mod fig2ab;
 pub mod fig2c;

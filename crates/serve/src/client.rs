@@ -1,5 +1,5 @@
-//! A minimal blocking client for the serve protocol — used by the load
-//! harness, the integration tests, and scripts.
+//! A minimal blocking client for the serve protocol — used by the
+//! benchmark, the integration tests, and scripts.
 
 use crate::protocol::{
     io_error, parse_response, try_encode_frame, try_read_frame, ParsedResponse, WireError,

@@ -5,7 +5,7 @@
 //! the wire. The schedule is a pure function of the seed: the `i`-th
 //! frame of a plan always draws the same [`FaultAction`], regardless of
 //! wall clock, thread timing, or what the server answered. That is the
-//! determinism guarantee the chaos harness leans on — a failing run
+//! determinism guarantee the chaos tests lean on — a failing run
 //! replays exactly from its seed.
 //!
 //! The faults model the client side of the transport:

@@ -24,15 +24,14 @@
 //! - [`server`] — accept loop, per-connection and per-request
 //!   `catch_unwind` isolation rings, the worker pool, and graceful drain.
 //! - [`signal`] — SIGTERM/SIGINT → drain-token bridging.
-//! - [`client`] — a minimal blocking client for tests and the load
-//!   harness.
+//! - [`client`] — a minimal blocking client for tests and the benchmark.
 //! - [`resilient`] — the recovery half of the client: seeded backoff with
 //!   jitter honoring `retry_after_ms`, reconnect-and-replay, a circuit
 //!   breaker, and a retry budget (see `DESIGN.md` §13).
 //! - [`fault`] — deterministic seeded transport fault injection for the
-//!   chaos harness.
-//! - [`cli`] — flag parsers shared with `ppatc-bench`'s binaries so the
-//!   front ends cannot drift.
+//!   chaos tests.
+//! - [`cli`] — flag parsers shared with `ppatc-bench`'s `paper` binary so
+//!   the front ends cannot drift.
 
 #![warn(missing_docs)]
 

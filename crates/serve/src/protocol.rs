@@ -165,13 +165,8 @@ pub fn try_read_frame<R: Read>(reader: &mut R, max: usize) -> Result<Option<Stri
     let mut payload = vec![0u8; len];
     match read_exact_or_eof(reader, &mut payload)? {
         ReadOutcome::Full => {}
-        ReadOutcome::CleanClose | ReadOutcome::Short { .. } => {
-            let got = payload.iter().rev().take_while(|&&b| b == 0).count();
-            return Err(WireError::Truncated {
-                got: len - got.min(len),
-                want: len,
-            });
-        }
+        ReadOutcome::CleanClose => return Err(WireError::Truncated { got: 0, want: len }),
+        ReadOutcome::Short { got } => return Err(WireError::Truncated { got, want: len }),
     }
     String::from_utf8(payload)
         .map(Some)
@@ -389,10 +384,23 @@ mod tests {
         ));
         // Close mid-payload.
         let mut cursor = &frame[..HEADER_BYTES + 2];
-        assert!(matches!(
+        assert_eq!(
             try_read_frame(&mut cursor, MAX_FRAME_BYTES),
-            Err(WireError::Truncated { want: 5, .. })
-        ));
+            Err(WireError::Truncated { got: 2, want: 5 })
+        );
+        // Close after payload bytes that happen to be zero: every byte that
+        // arrived counts, whatever its value.
+        for partial in [&b"ab\0\0"[..], &[0u8; 4][..]] {
+            let mut frame = Vec::from(MAGIC);
+            frame.extend_from_slice(&8u32.to_be_bytes());
+            frame.extend_from_slice(partial);
+            let mut cursor = &frame[..];
+            assert_eq!(
+                try_read_frame(&mut cursor, MAX_FRAME_BYTES),
+                Err(WireError::Truncated { got: 4, want: 8 }),
+                "payload {partial:?}"
+            );
+        }
     }
 
     #[test]

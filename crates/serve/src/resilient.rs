@@ -24,7 +24,7 @@
 //!
 //! All backoff jitter comes from a seeded [`SplitMix64`]: equal seeds
 //! and equal failure sequences sleep the identical schedule, which is
-//! what lets the chaos harness replay a run from its seed.
+//! what lets a chaos test replay a run from its seed.
 //!
 //! The state machines are documented in `DESIGN.md` §13.
 
@@ -48,7 +48,7 @@ const DEADLINE_SOCKET_GRACE: Duration = Duration::from_secs(5);
 /// exceeds any sane `max_backoff`; the shift must not overflow).
 const BACKOFF_EXPONENT_CAP: u32 = 20;
 
-/// Retry/backoff/breaker tuning. `Default` suits tests and the harness.
+/// Retry/backoff/breaker tuning. `Default` suits tests.
 #[derive(Clone, Debug)]
 pub struct RetryPolicy {
     /// Attempts per request (first try + replays).

@@ -70,7 +70,7 @@ const CONNECTION_LINGER: Duration = Duration::from_secs(10);
 /// How often the supervisor polls worker liveness and heartbeats.
 const SUPERVISOR_POLL: Duration = Duration::from_millis(50);
 
-/// Server tuning knobs. `Default` suits tests and the smoke harness; the
+/// Server tuning knobs. `Default` suits tests; the
 /// binary maps its flags onto the fields.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {

@@ -137,6 +137,7 @@ fn supervisor_gives_up_past_the_restart_budget() {
 fn fault_injected_transport_still_gets_every_request_answered() {
     let mut config = ServerConfig::default();
     config.workers = 2;
+    config.enable_poison = true;
     let handle = spawn(config);
     let spec = FaultSpec {
         seed: 77,
@@ -152,7 +153,10 @@ fn fault_injected_transport_still_gets_every_request_answered() {
         .with_fault_plan(FaultPlan::new(spec));
     let queries = ["ping", "eval capacity_kb=16", "eval capacity_kb=32", "ping"];
     for round in 0..10 {
-        for q in &queries {
+        // Two rounds also kill the worker that picks up their first query,
+        // so the chaos load rides through supervised respawns.
+        let kill = [3, 7].contains(&round).then_some("kill_worker");
+        for q in kill.iter().chain(&queries) {
             let resp = client
                 .try_request(q)
                 .unwrap_or_else(|e| panic!("round {round} query {q} unanswered: {e}"));
@@ -166,9 +170,12 @@ fn fault_injected_transport_still_gets_every_request_answered() {
     );
     let stats = client.stats();
     assert!(stats.wire_replays > 0, "replays happened: {stats:?}");
-    assert_eq!(stats.requests, 40);
+    assert_eq!(stats.requests, 42);
+    let snap = wait_for_health(&handle, Duration::from_secs(10), |s| s.worker_restarts >= 1);
+    assert!(snap.worker_restarts >= 1, "supervisor respawned: {snap:?}");
     let report = handle.drain();
     assert_eq!(report.connections_panicked, 0, "chaos stayed typed");
+    assert!(!report.supervisor_gave_up, "{report:?}");
 }
 
 #[test]

@@ -6,6 +6,8 @@ use ppatc_serve::protocol::{MAGIC, MAX_FRAME_BYTES};
 use ppatc_serve::server::{try_spawn, ServerConfig, ServerHandle};
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
@@ -44,8 +46,11 @@ fn ping_health_and_eval_round_trip() {
 
 #[test]
 fn repeated_queries_are_byte_identical_at_any_concurrency() {
+    const POISONS: u64 = 4;
     let mut config = ServerConfig::default();
     config.workers = 4;
+    config.enable_poison = true;
+    config.frame_timeout = Duration::from_millis(100);
     let handle = spawn(config);
     let queries = [
         "eval capacity_kb=16",
@@ -58,24 +63,78 @@ fn repeated_queries_are_byte_identical_at_any_concurrency() {
     for q in &queries {
         reference.push(client.try_request_raw(q).expect("reference answers"));
     }
-    // Storm: 8 clients × 5 rounds, interleaved, all must match exactly.
+    // Storm: 8 clients, interleaved, all must match exactly. They keep
+    // going (at least 5 rounds) until the chaos connections are done, so
+    // malformed frames, slow-loris stalls and poison panics land mid-storm.
+    let chaos_done = AtomicUsize::new(0);
+    let give_up = Instant::now() + Duration::from_secs(60);
     std::thread::scope(|scope| {
         for _ in 0..8 {
             let handle = &handle;
             let reference = &reference;
+            let chaos_done = &chaos_done;
             scope.spawn(move || {
                 let mut client = connect(handle);
-                for _round in 0..5 {
+                let mut round = 0;
+                while round < 5
+                    || (chaos_done.load(Ordering::SeqCst) < 3 && Instant::now() < give_up)
+                {
                     for (i, q) in queries.iter().enumerate() {
                         let got = client.try_request_raw(q).expect("storm answers");
                         assert_eq!(got, reference[i], "query {q} must be byte-identical");
                     }
+                    round += 1;
                 }
             });
         }
+        let handle = &handle;
+        let chaos_done = &chaos_done;
+        scope.spawn(move || {
+            for _ in 0..3 {
+                let mut stream = TcpStream::connect(handle.addr()).expect("connects");
+                // A header alone: nothing is left unread when the server
+                // closes, so its error frame is not lost to a reset.
+                stream.write_all(b"XXXX\x00\x00\x00\x04").expect("writes");
+                stream
+                    .set_read_timeout(Some(CLIENT_TIMEOUT))
+                    .expect("timeout");
+                let got = ppatc_serve::protocol::try_read_frame(&mut stream, MAX_FRAME_BYTES);
+                assert!(
+                    matches!(got, Ok(Some(ref p)) if p.starts_with("err malformed")),
+                    "{got:?}"
+                );
+            }
+            chaos_done.fetch_add(1, Ordering::SeqCst);
+        });
+        scope.spawn(move || {
+            for _ in 0..2 {
+                let mut stream = TcpStream::connect(handle.addr()).expect("connects");
+                stream.write_all(&MAGIC[..2]).expect("drips two bytes");
+                std::thread::sleep(Duration::from_millis(250));
+                stream
+                    .set_read_timeout(Some(CLIENT_TIMEOUT))
+                    .expect("timeout");
+                let got = ppatc_serve::protocol::try_read_frame(&mut stream, MAX_FRAME_BYTES);
+                assert!(
+                    matches!(got, Ok(Some(ref p)) if p.contains("timeout")),
+                    "{got:?}"
+                );
+            }
+            chaos_done.fetch_add(1, Ordering::SeqCst);
+        });
+        scope.spawn(move || {
+            let mut client = connect(handle);
+            for _ in 0..POISONS {
+                let resp = client.try_request("poison").expect("typed panic answer");
+                assert_eq!(resp.kind, "panic", "{resp:?}");
+            }
+            chaos_done.fetch_add(1, Ordering::SeqCst);
+        });
     });
     let report = handle.drain();
-    assert_eq!(report.panicked, 0);
+    assert_eq!(report.panicked, POISONS, "{report:?}");
+    assert!(report.malformed >= 5, "{report:?}");
+    assert_eq!(report.connections_panicked, 0, "{report:?}");
     assert!(report.cache_hits > 0, "the storm must hit the cache");
 }
 
@@ -320,13 +379,54 @@ fn drain_query_stops_the_server_gracefully() {
 
 #[test]
 fn drain_refuses_new_connections_and_requests() {
+    const POOL: &[&str] = &[
+        "ping",
+        "eval capacity_kb=16",
+        "mc samples=64 seed=7 capacity_kb=16",
+    ];
     let handle = spawn(ServerConfig::default());
     let addr = handle.addr();
     let token = handle.cancel_token();
     let mut open_before = connect(&handle);
-    token.cancel();
+    // Several clients keep requests in flight while the drain lands: each
+    // must wind down with `err draining` or a clean close, never a hang.
+    let mut clients: Vec<ServeClient> = (0..3).map(|_| connect(&handle)).collect();
+    for (id, client) in clients.iter_mut().enumerate() {
+        let warm = client
+            .try_request(POOL[id])
+            .expect("answers before the drain");
+        assert!(warm.ok, "{warm:?}");
+    }
+    let cancelled = AtomicBool::new(false);
+    let started = Barrier::new(clients.len() + 1);
+    std::thread::scope(|scope| {
+        for (id, mut client) in clients.into_iter().enumerate() {
+            let (cancelled, started) = (&cancelled, &started);
+            scope.spawn(move || {
+                started.wait();
+                for i in 0..1_000_000 {
+                    match client.try_request(POOL[(i + id) % POOL.len()]) {
+                        Ok(resp) if resp.ok => {}
+                        Ok(resp) => {
+                            assert_eq!(resp.kind, "draining", "client {id}: {resp:?}");
+                            return;
+                        }
+                        Err(e) => {
+                            assert!(cancelled.load(Ordering::SeqCst), "client {id}: {e}");
+                            return;
+                        }
+                    }
+                }
+                panic!("client {id} was never drained");
+            });
+        }
+        started.wait();
+        cancelled.store(true, Ordering::SeqCst);
+        token.cancel();
+    });
     let report = handle.drain();
     assert!(report.draining, "{report:?}");
+    assert_eq!(report.connections_panicked, 0, "{report:?}");
     // The connection that was open across the drain gets `err draining`
     // (or a clean close) rather than a hang.
     match open_before.try_request("eval capacity_kb=16") {
